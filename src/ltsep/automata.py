@@ -64,7 +64,6 @@ class LangSpec:
     f2: frozenset
 
     def __post_init__(self):
-        all_states = range(self.nfa.n_states)
         for name in ("i1", "f1", "i2", "f2"):
             s = getattr(self, name)
             if not isinstance(s, frozenset):
@@ -72,7 +71,6 @@ class LangSpec:
                 s = getattr(self, name)
             if not all(0 <= q < self.nfa.n_states for q in s):
                 raise ValueError("%s not a subset of the states" % name)
-        del all_states
 
 
 def accepts(nfa, i, f, w):

@@ -142,8 +142,13 @@ class FlowAssignment:
     sink: int
     letter_counts: dict
 
-    def total(self):
-        return sum(self.edge_mult.values())
+
+def _letter_index(system, edge_vars):
+    """Map each letter to the variables of its edges, in edge order."""
+    index = {}
+    for (_p, a, _q), v in zip(system.edges, edge_vars):
+        index.setdefault(a, []).append(v)
+    return index
 
 
 @dataclass
@@ -152,13 +157,10 @@ class _SideVars:
     edge_vars: list
     src_vars: dict
     snk_vars: dict
+    by_letter: dict  # letter -> edge variables carrying it
 
-    def count_terms(self, sym, coef=1, extra=None):
-        terms = {} if extra is None else extra
-        for e, v in zip(self.system.edges, self.edge_vars):
-            if e[1] == sym:
-                terms[v] = terms.get(v, 0) + coef
-        return terms
+    def count_terms(self, sym):
+        return {v: 1 for v in self.by_letter.get(sym, ())}
 
     def count_var(self, model, sym, cap):
         """A single bounded variable tied by equality to the letter's count."""
@@ -169,46 +171,48 @@ class _SideVars:
         return x
 
 
+def _conservation(system, edge_vars):
+    """The conservation rows shared by paths and circulations.
+
+    Row q holds +1 for every edge variable leaving q and -1 for every one
+    entering q; self-loops cancel and are left out.  One pass over the
+    edges fills all rows, each keyed in edge order.
+    """
+    rows = [{} for _ in range(system.nfa.n_states)]
+    for (p, _a, r), v in zip(system.edges, edge_vars):
+        if p != r:
+            rows[p][v] = 1
+            rows[r][v] = -1
+    return rows
+
+
 def _add_flow(model, system, cap):
     """Add one side's flow variables and conservation rows to the model."""
     edge_vars = [model.add_var(0, cap) for _ in system.edges]
     src_vars = {q: model.add_var(0, 1) for q in sorted(system.i)}
     snk_vars = {q: model.add_var(0, 1) for q in sorted(system.f)}
+    side = _SideVars(
+        system, edge_vars, src_vars, snk_vars, _letter_index(system, edge_vars)
+    )
     if not src_vars or not snk_vars:
         # empty language: no endpoints selectable
         model.add_eq({}, 1)
-        return _SideVars(system, edge_vars, src_vars, snk_vars)
+        return side
     model.add_eq({v: 1 for v in src_vars.values()}, 1)
     model.add_eq({v: 1 for v in snk_vars.values()}, 1)
-    for q in range(system.nfa.n_states):
-        terms = {}
-        for (p, _a, r), v in zip(system.edges, edge_vars):
-            if p == r:
-                continue
-            if p == q:
-                terms[v] = terms.get(v, 0) + 1
-            if r == q:
-                terms[v] = terms.get(v, 0) - 1
+    for q, terms in enumerate(_conservation(system, edge_vars)):
         if q in src_vars:
-            terms[src_vars[q]] = terms.get(src_vars[q], 0) - 1
+            terms[src_vars[q]] = -1
         if q in snk_vars:
-            terms[snk_vars[q]] = terms.get(snk_vars[q], 0) + 1
+            terms[snk_vars[q]] = 1
         model.add_eq(terms, 0)
-    return _SideVars(system, edge_vars, src_vars, snk_vars)
+    return side
 
 
 def _add_circulation(model, system, cap):
     """Conserved flow with no endpoints (a disjoint union of cycles)."""
     cyc_vars = [model.add_var(0, cap) for _ in system.edges]
-    for q in range(system.nfa.n_states):
-        terms = {}
-        for (p, _a, r), v in zip(system.edges, cyc_vars):
-            if p == r:
-                continue
-            if p == q:
-                terms[v] = terms.get(v, 0) + 1
-            if r == q:
-                terms[v] = terms.get(v, 0) - 1
+    for terms in _conservation(system, cyc_vars):
         if terms:
             model.add_eq(terms, 0)
     return cyc_vars
@@ -320,16 +324,14 @@ def _add_support_reach(model, system, side, cap):
         model.add_le({m: 1, zi: -cap}, 0)  # used => z = 1
         model.add_ge({m: 1, zi: -1}, 0)  # z = 1 => used
         model.add_le({yi: 1, zi: -big}, 0)  # commodity only on used edges
-    for q in range(system.nfa.n_states):
-        terms = {}
-        for (p, _a, r), zi, yi in zip(edges, z, y):
-            if p == q:
-                terms[yi] = terms.get(yi, 0) - 1
-                terms[zi] = terms.get(zi, 0) - 1
-            if r == q:
-                terms[yi] = terms.get(yi, 0) + 1
+    rows = [{} for _ in range(system.nfa.n_states)]
+    for (p, _a, r), zi, yi in zip(edges, z, y):
+        rows[p][yi] = -1
+        rows[p][zi] = -1
+        rows[r][yi] = rows[r].get(yi, 0) + 1  # a self-loop cancels to 0
+    for q, terms in enumerate(rows):
         if q in side.src_vars:
-            terms[side.src_vars[q]] = terms.get(side.src_vars[q], 0) + big
+            terms[side.src_vars[q]] = big
         if terms:
             model.add_ge(terms, 0)
 
@@ -382,15 +384,25 @@ class MatchResult:
     certain: bool = True  # UNSAT answers: whether the box bound was generous
 
 
-def _max_letter_count(system, sym):
-    """Upper bound on the count of sym over the language, or None if unbounded."""
-    # an edge inside a nontrivial strongly connected component can repeat;
-    # any other edge is crossed at most once by a source-sink path
+def _letter_bounds(system):
+    """Map each letter to an upper bound on its count over the language.
+
+    The bound is None when the count is unbounded.  A word of the language
+    is a path from an initial to a final state, and a path can repeat an
+    edge without limit exactly when the edge lies on a cycle: a self-loop,
+    or an edge whose endpoints share a strongly connected component.  Any
+    other edge is crossed at most once, since returning to it would close
+    a cycle through it.  So a letter on some cycle edge is unbounded and
+    any other letter is bounded by its number of edges.  One SCC pass and
+    one sweep over the edges give every letter's bound.
+    """
     n = system.nfa.n_states
     adj = {}
+    radj = {}
     for (p, _a, q) in system.edges:
         adj.setdefault(p, set()).add(q)
-    # Tarjan-free SCC via Kosaraju on the small graphs we face
+        radj.setdefault(q, set()).add(p)
+    # Kosaraju: finishing order on the graph, then components on its reverse
     order = []
     seen = set()
     for s in range(n):
@@ -410,9 +422,6 @@ def _max_letter_count(system, sym):
             if not advanced:
                 order.append(v)
                 stack.pop()
-    radj = {}
-    for (p, _a, q) in system.edges:
-        radj.setdefault(q, set()).add(p)
     comp = {}
     for s in reversed(order):
         if s in comp:
@@ -424,14 +433,13 @@ def _max_letter_count(system, sym):
                 continue
             comp[v] = s
             stack.extend(w for w in radj.get(v, ()) if w not in comp)
-    count = 0
+    bounds = {a: 0 for a in system.letters}
     for (p, a, q) in system.edges:
-        if a != sym:
-            continue
-        if comp.get(p) == comp.get(q):
-            return None  # on a cycle (includes self-loops)
-        count += 1
-    return count
+        if comp[p] == comp[q]:
+            bounds[a] = None
+        elif bounds[a] is not None:
+            bounds[a] += 1
+    return bounds
 
 
 def _fixed_bound(sys1, sys2, d):
@@ -456,6 +464,8 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
     s1 = _add_flow(model, sys1, cap)
     s2 = _add_flow(model, sys2, cap)
     letters = list(letters)
+    if d is not None:
+        bounds1, bounds2 = _letter_bounds(sys1), _letter_bounds(sys2)
     for sym in letters:
         t1 = s1.count_terms(sym)
         t2 = s2.count_terms(sym)
@@ -465,8 +475,8 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
                 terms[v] = terms.get(v, 0) - c
             model.add_eq(terms, 0)
             continue
-        m1 = _max_letter_count(sys1, sym) if t1 else 0
-        m2 = _max_letter_count(sys2, sym) if t2 else 0
+        m1 = bounds1.get(sym, 0)
+        m2 = bounds2.get(sym, 0)
         bounded_low = (m1 is not None and m1 < d) or (m2 is not None and m2 < d)
         if bounded_low or not t1 or not t2:
             # the both->=d branch is unreachable: force equality
@@ -511,13 +521,6 @@ class PumpCertificate:
     cycle2: dict
     unbounded_set: frozenset
 
-    def cycle_counts(self, which):
-        cyc = self.cycle1 if which == 1 else self.cycle2
-        counts = {}
-        for (p, a, q), m in cyc.items():
-            counts[a] = counts.get(a, 0) + m
-        return counts
-
     def pumped(self, which, t):
         """The flow base + t*cycle for one side, as a FlowAssignment."""
         base = self.base1 if which == 1 else self.base2
@@ -541,20 +544,19 @@ def match_limit(sys1, sys2, letters, cap=100_000):
     c1 = _add_circulation(model, sys1, cap)
     c2 = _add_circulation(model, sys2, cap)
 
-    def cyc_terms(system, cvars, sym, coef=1, into=None):
-        terms = {} if into is None else into
-        for e, v in zip(system.edges, cvars):
-            if e[1] == sym:
-                terms[v] = terms.get(v, 0) + coef
-        return terms
+    cyc_index1 = _letter_index(sys1, c1)
+    cyc_index2 = _letter_index(sys2, c2)
+
+    def cyc_terms(index, sym):
+        return {v: 1 for v in index.get(sym, ())}
 
     letters = list(letters)
     u_vars = {}
     for sym in letters:
         b1 = s1.count_terms(sym)
         b2 = s2.count_terms(sym)
-        g1 = cyc_terms(sys1, c1, sym)
-        g2 = cyc_terms(sys2, c2, sym)
+        g1 = cyc_terms(cyc_index1, sym)
+        g2 = cyc_terms(cyc_index2, sym)
         if not g1 or not g2:
             # some side cannot grow this letter: it can never join U
             for a, b in ((b1, b2), (g1, g2)):

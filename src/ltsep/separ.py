@@ -9,7 +9,7 @@ checkable witness (a word pair, or a pattern that pumps into word pairs).
 
 from dataclasses import dataclass, field
 
-from .automata import LangSpec, accepts, product, is_empty, shortest_word
+from .automata import LangSpec, Nfa, accepts, product, shortest_word
 from .monoid import transition_monoid, profile_width_bound, MonoidBudgetError
 from .profiles import (
     annotate,
@@ -17,7 +17,6 @@ from .profiles import (
     equivalent,
     language_signatures,
     project_profile_word,
-    signature_of,
     split_width,
     window_step,
     window_flush,
@@ -32,7 +31,6 @@ from .reduction import (
     SyncBudgetError,
     DPattern,
 )
-from .automata import Nfa
 
 
 @dataclass

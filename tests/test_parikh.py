@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ltsep.automata import Nfa, accepts
+from ltsep.automata import Nfa, accepts, reachable
 from ltsep import parikh as pk
 from ltsep.testkit import gen_parity, gen_random
 
@@ -168,9 +168,55 @@ class TestRealizeWord:
             pk.realize_word(nfa, {1}, {2}, bogus)
 
 
-class TestMaxLetterCount:
+class TestLetterBounds:
     def test_dag_versus_cycle(self):
         nfa = Nfa(3, ("a", "b"), frozenset([(0, "a", 1), (1, "b", 1), (1, "a", 2)]))
         sys1 = pk.flow_system(nfa, {0}, {2})
-        assert pk._max_letter_count(sys1, "a") == 2
-        assert pk._max_letter_count(sys1, "b") is None
+        bounds = pk._letter_bounds(sys1)
+        assert bounds["a"] == 2
+        assert bounds["b"] is None
+
+    def test_matches_reachability_definition(self):
+        # a letter is unbounded iff one of its edges (p, a, q) closes a cycle,
+        # i.e. p is reachable from q; otherwise each edge is crossed once
+        for seed in range(40):
+            spec = gen_random(seed, 1 + seed % 6, 1 + seed % 4, 0.3)
+            system = pk.flow_system(spec.nfa, spec.i1, spec.f1)
+            bounds = pk._letter_bounds(system)
+            assert set(bounds) == set(system.letters)
+            for a in system.letters:
+                edges = [(p, q) for (p, b, q) in system.edges if b == a]
+                on_cycle = any(p in reachable(system.nfa, {q}) for p, q in edges)
+                assert bounds[a] == (None if on_cycle else len(edges)), (seed, a)
+
+    def test_count_terms_index_matches_edge_scan(self):
+        for seed in range(40):
+            spec = gen_random(seed, 1 + seed % 6, 1 + seed % 4, 0.3)
+            system = pk.flow_system(spec.nfa, spec.i1, spec.f1)
+            side = pk._add_flow(pk.MipModel(), system, 10)
+            for a in system.letters + ("absent",):
+                scan = {
+                    v: 1
+                    for (_p, b, _q), v in zip(system.edges, side.edge_vars)
+                    if b == a
+                }
+                assert side.count_terms(a) == scan, (seed, a)
+
+    def test_match_fixed_computes_bounds_once_per_side(self, monkeypatch):
+        # model construction must not recompute the bounds once per letter
+        letters = tuple("l%d" % j for j in range(40))
+        trans = [(0, a, 1) for a in letters] + [(1, a, 1) for a in letters[::2]]
+        nfa = Nfa(2, letters, frozenset(trans))
+        sys1 = pk.flow_system(nfa, {0}, {1})
+        sys2 = pk.flow_system(nfa, {0}, {0, 1})
+        calls = []
+        real = pk._letter_bounds
+
+        def counting(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(pk, "_letter_bounds", counting)
+        res = pk.match_fixed(sys1, sys2, letters, 2)
+        assert res.status == pk.SAT
+        assert len(calls) <= 2
