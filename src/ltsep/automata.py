@@ -158,7 +158,7 @@ def shortest_word(nfa, i, f):
     if i & f:
         return ()
     succ = {}
-    for (p, a, q) in nfa.transitions:
+    for (p, a, q) in sorted(nfa.transitions):
         succ.setdefault(p, []).append((a, q))
     back = {q: None for q in i}
     queue = deque(i)

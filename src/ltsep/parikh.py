@@ -8,12 +8,14 @@ threshold-matching between two languages (fixed threshold, and in the limit
 over all thresholds via pump certificates), and reconstructs witness words
 from feasible flows.
 
-Connectivity of the used-edge subgraph to the chosen source is enforced by
-lazily generated cut rows rather than an upfront spanning-structure encoding:
-solve, check the support of the solution, and forbid disconnected supports
-until the support is connected.  Integer feasibility itself is delegated to
-scipy's MILP interface; returned solutions are re-verified in exact integer
-arithmetic before use.
+Connectivity of the used-edge subgraph to the chosen source has two
+encodings, each the faster one where it is used.  The two-sided matches
+(match_fixed, match_limit) add cut rows lazily: solve, check the support of
+the solution, and forbid disconnected supports until the support is
+connected.  The one-sided membership query (feasible) adds a commodity flow
+up front (_add_support_reach) and solves once.  Integer feasibility itself
+is delegated to scipy's MILP interface; returned solutions are re-verified
+in exact integer arithmetic before use.
 """
 
 from dataclasses import dataclass

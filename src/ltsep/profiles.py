@@ -123,7 +123,7 @@ def annotate(nfa, i, f, k, state_budget=200_000):
     kl, kr = split_width(k)
     delta = nfa.delta()
     out_by_state = {}
-    for (q, a), succs in delta.items():
+    for (q, a), succs in sorted(delta.items()):
         out_by_state.setdefault(q, []).append((a, succs))
     alphabet = tuple(nfa.alphabet)
 
@@ -192,8 +192,8 @@ def annotate(nfa, i, f, k, state_budget=200_000):
 
 # ---------------------------------------------------------------------------
 # Sliding-window signature machinery: an explicit deterministic view of the
-# capped image, used by the brute-force oracle and the explicit separator
-# automaton.  Independent of the annotation transform above.
+# capped image, used by the brute-force oracle, the signature probe and the
+# explicit separator automaton.  Independent of the annotation transform above.
 
 
 def _resolved_profile(buf, pos, k):
@@ -243,47 +243,64 @@ def signature_of(w, k, d):
     return frozenset(capped_image(w, k, d).counts)
 
 
-def language_signatures(nfa, i, f, k, d, state_budget=500_000):
-    """All capped-image signatures of words of L(nfa, i, f).
-
-    Breadth-first exploration of (state, window buffer, resolved capped counts,
-    length-class) tuples; finite because counts are capped.  Returns a set of
-    frozenset signatures.  Raises AnnotationBudgetError past the budget.
-    """
-    kl, kr = split_width(k)
-    w_len = kl + kr
-    fset = set(f)
-    # track the buffer fill degree instead of the absolute length: once the
-    # buffer is full the flush arithmetic no longer depends on total length
-    seen = set()
-    sigs = set()
-    queue = deque()
-
-    def flush_state(q, buf, counts, length):
-        if q in fset:
-            sigs.add(window_flush(buf, counts, k, d, length))
-
-    for q0 in set(i):
-        st = (q0, (), frozenset(), 0)
-        if st not in seen:
-            seen.add(st)
-            queue.append(st)
-            flush_state(q0, (), frozenset(), 0)
+def out_edges(nfa):
+    """Map each state of nfa to its list of (letter, successor) pairs."""
     delta = {}
     for (p, a, q) in nfa.transitions:
         delta.setdefault(p, []).append((a, q))
+    return delta
+
+
+def window_walk(delta, starts, k, d, budget, keep=None):
+    """Breadth-first walk over (state, window buffer, capped counts, fill).
+
+    delta maps a state to its (letter, successor) pairs; the walk is finite
+    because counts are capped and the fill degree stops at the window width
+    (past it the flush arithmetic no longer depends on the length).  Yields
+    (src, a, dst, new) for each explored edge, first (None, None, st, True)
+    for each start state; new says whether dst is reached for the first
+    time.  New states whose counts fail keep are dropped.  Raises
+    AnnotationBudgetError instead of exceeding budget states.
+    """
+    w_len = sum(split_width(k))
+    seen = set()
+    queue = deque()
+    for q0 in set(starts):
+        st = (q0, (), frozenset(), 0)
+        seen.add(st)
+        queue.append(st)
+        yield None, None, st, True
     while queue:
-        q, buf, counts, length = queue.popleft()
+        src = queue.popleft()
+        q, buf, counts, fill = src
         for (a, q2) in delta.get(q, ()):
             nbuf, ncounts = window_step(buf, counts, a, k, d)
-            nlength = min(length + 1, w_len)  # lengths beyond the window merge
-            st = (q2, nbuf, ncounts, nlength)
-            if st not in seen:
-                if len(seen) >= state_budget:
-                    raise AnnotationBudgetError(
-                        "signature exploration exceeded %d states" % state_budget
-                    )
-                seen.add(st)
-                queue.append(st)
-                flush_state(q2, nbuf, ncounts, nlength if nlength < w_len else w_len)
-    return sigs
+            dst = (q2, nbuf, ncounts, min(fill + 1, w_len))
+            if dst in seen:
+                yield src, a, dst, False
+                continue
+            if keep is not None and not keep(ncounts):
+                continue
+            if len(seen) >= budget:
+                raise AnnotationBudgetError(
+                    "signature exploration exceeded %d states" % budget
+                )
+            seen.add(dst)
+            queue.append(dst)
+            yield src, a, dst, True
+
+
+def language_signatures(nfa, i, f, k, d, state_budget=500_000):
+    """All capped-image signatures of words of L(nfa, i, f).
+
+    Returns a set of frozenset signatures.  Raises AnnotationBudgetError past
+    the budget.
+    """
+    fset = set(f)
+    return {
+        window_flush(buf, counts, k, d, fill)
+        for _src, _a, (q, buf, counts, fill), new in window_walk(
+            out_edges(nfa), i, k, d, state_budget
+        )
+        if new and q in fset
+    }

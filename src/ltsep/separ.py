@@ -8,6 +8,7 @@ checkable witness (a word pair, or a pattern that pumps into word pairs).
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .automata import LangSpec, Nfa, accepts, product, shortest_word
 from .monoid import transition_monoid, profile_width_bound, MonoidBudgetError
@@ -16,10 +17,10 @@ from .profiles import (
     capped_image,
     equivalent,
     language_signatures,
+    out_edges,
     project_profile_word,
-    split_width,
-    window_step,
     window_flush,
+    window_walk,
     AnnotationBudgetError,
 )
 from . import parikh as pk
@@ -33,18 +34,18 @@ from .reduction import (
 )
 
 
+# the largest threshold the LTT doubling search tries on the reduced automaton
+DOUBLING_MAX = 4096
+# the (k, d) signature probes of the fallback, in order; LT keeps d = 1
+PROBE_SCHEDULE = ((1, 1), (1, 2), (2, 1))
+
+
 @dataclass
 class EngineConfig:
     """Budgets for the decision pipelines."""
 
-    monoid_budget: int = 100_000
     annot_budget: int = 200_000
     solver_cap: int = 100_000
-    sync_budget: int = 8192
-    sync_node_cap: int = 200_000
-    pool_max_letters: int = 4000
-    doubling_max: int = 4096
-    probe_schedule: tuple = ((1, 1), (1, 2), (2, 1))
     signature_budget: int = 500_000
 
 
@@ -101,14 +102,14 @@ class Verdict:
 
 
 def annotated_side(spec, which, k, cfg=None):
-    cfg = _cfg(cfg)
-    nfa = spec.nfa
-    if which == 1:
-        ann = annotate(nfa, spec.i1, spec.f1, k, cfg.annot_budget)
-    else:
-        ann = annotate(nfa, spec.i2, spec.f2, k, cfg.annot_budget)
-    system = pk.flow_system(ann.nfa, ann.i, ann.f)
-    return ann, system
+    i, f = (spec.i1, spec.f1) if which == 1 else (spec.i2, spec.f2)
+    ann = annotate(spec.nfa, i, f, k, _cfg(cfg).annot_budget)
+    return ann, pk.flow_system(ann.nfa, ann.i, ann.f)
+
+
+def _budget_flags(res):
+    """The flag of a match that is neither SAT nor certainly UNSAT."""
+    return ["solver-budget"] if res.status == pk.UNKNOWN else ["box-bound"]
 
 
 def decide_fixed(spec, k, d, cfg=None):
@@ -137,8 +138,7 @@ def decide_fixed(spec, k, d, cfg=None):
     if res.status == pk.UNSAT and res.certain:
         handle = SeparatorHandle(k, d, sys1, ann1.profiles, spec, cfg.solver_cap)
         return Verdict("fixed", True, k, d, separator=handle)
-    flags = ["solver-budget"] if res.status == pk.UNKNOWN else ["box-bound"]
-    return Verdict("fixed", None, k, d, flags=flags)
+    return Verdict("fixed", None, k, d, flags=_budget_flags(res))
 
 
 def _intersection_witness(spec):
@@ -156,94 +156,77 @@ def _reduced_systems(red):
     return sys1, sys2, letters
 
 
-def _direct_width(spec, cfg):
-    """k = 4*(monoid size + 1), or None past the monoid budget."""
-    try:
-        return profile_width_bound(transition_monoid(spec.nfa, cfg.monoid_budget))
-    except MonoidBudgetError:
-        return None
+def _decide_full(spec, cfg, problem, settle):
+    """The LT/LTT pipeline shared by both problems.
 
-
-def decide_lt(spec, cfg=None):
-    """Separability by a locally testable language (threshold 1, some width)."""
+    A common word decides inseparability at once; otherwise the reduced
+    automaton is built (the fallback takes over past its budget) and
+    settle(spec, red, cfg, sys1, sys2, letters) runs the problem's matching.
+    """
     cfg = _cfg(cfg)
     common = _intersection_witness(spec)
     if common is not None:
-        wit = DPattern(word=tuple(common), d=1, origin=spec)
-        v = Verdict(
-            "lt", False, 1, 1,
-            witness=wit,
+        word = tuple(common)
+        return Verdict(
+            problem, False, 1, "limit" if problem == "ltt" else 1,
+            witness=DPattern(word=word, d=1, origin=spec),
             notes={"reason": "nonempty intersection"},
+            _replay=lambda d, ell=1: (word, word),
         )
-        v._replay = lambda d, ell=1: (tuple(common), tuple(common))
-        return v
     try:
-        red = build_reduced(spec, cfg.sync_budget, cfg.sync_node_cap)
+        red = build_reduced(spec)
     except SyncBudgetError:
-        return _fallback(spec, cfg, problem="lt")
-    sys1, sys2, letters = _reduced_systems(red)
+        return _fallback(spec, cfg, problem=problem)
+    return settle(spec, red, cfg, *_reduced_systems(red))
+
+
+def _settle_lt(spec, red, cfg, sys1, sys2, letters):
+    """LT: an exact match at threshold 1 on the reduced automaton."""
     res = pk.match_fixed(sys1, sys2, letters, 1, cfg.solver_cap)
     if res.status == pk.SAT:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)
         pat = decode_pattern(red, r1, r2, 1)
-        w1, w2 = pump_pattern(pat, 1, 1)
-        v = Verdict(
+        return Verdict(
             "lt", False, 1, 1,
             witness=pat,
-            notes={"pumped_pair": (w1, w2)},
+            notes={"pumped_pair": pump_pattern(pat, 1, 1)},
+            _replay=lambda d, ell=1: pump_pattern(pat, ell, 1),
         )
-        v._replay = lambda d, ell=1: pump_pattern(pat, ell, 1)
-        return v
     if res.status == pk.UNSAT and res.certain:
-        kd = _direct_width(spec, cfg)
-        notes = {}
-        if kd is not None:
-            notes["direct_width"] = kd
-        return Verdict("lt", True, kd if kd is not None else 1, 1, notes=notes)
-    return Verdict("lt", None, 1, 1, flags=["solver-budget"])
+        # report the direct width k = 4*(monoid size + 1) when within budget
+        try:
+            kd = profile_width_bound(transition_monoid(spec.nfa))
+        except MonoidBudgetError:
+            return Verdict("lt", True, 1, 1)
+        return Verdict("lt", True, kd, 1, notes={"direct_width": kd})
+    return Verdict("lt", None, 1, 1, flags=_budget_flags(res))
 
 
-def decide_ltt(spec, cfg=None):
-    """Separability by a locally threshold testable language (any threshold)."""
-    cfg = _cfg(cfg)
-    common = _intersection_witness(spec)
-    if common is not None:
-        wit = DPattern(word=tuple(common), d=1, origin=spec)
-        v = Verdict(
-            "ltt", False, 1, "limit",
-            witness=wit,
-            notes={"reason": "nonempty intersection"},
-        )
-        v._replay = lambda d, ell=1: (tuple(common), tuple(common))
-        return v
-    try:
-        red = build_reduced(spec, cfg.sync_budget, cfg.sync_node_cap)
-    except SyncBudgetError:
-        return _fallback(spec, cfg, problem="ltt")
-    sys1, sys2, letters = _reduced_systems(red)
+def _settle_ltt(spec, red, cfg, sys1, sys2, letters):
+    """LTT: a pump certificate on the reduced automaton, or else the least
+    doubled threshold at which no exact match exists."""
     res = pk.match_limit(sys1, sys2, letters, cfg.solver_cap)
     if res.status == pk.SAT:
         cert = res.assignment1
 
-        def replay(d, ell=1):
+        def pattern(d):
             t = max(1, d)
             r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, cert.pumped(1, t))
             r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, cert.pumped(2, t))
-            pat = decode_pattern(red, r1, r2, d)
-            return pump_pattern(pat, ell, d)
+            return decode_pattern(red, r1, r2, d)
 
-        r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, cert.pumped(1, 1))
-        r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, cert.pumped(2, 1))
-        pat = decode_pattern(red, r1, r2, 1)
-        v = Verdict("ltt", False, 1, "limit", witness=pat, certificate=cert)
-        v._replay = replay
-        return v
+        return Verdict(
+            "ltt", False, 1, "limit",
+            witness=pattern(1),
+            certificate=cert,
+            _replay=lambda d, ell=1: pump_pattern(pattern(d), ell, d),
+        )
     if res.status == pk.UNKNOWN:
         return Verdict("ltt", None, 1, "limit", flags=["solver-budget"])
     # no pump certificate: find a concrete failing threshold by doubling
     d = 1
-    while d <= cfg.doubling_max:
+    while d <= DOUBLING_MAX:
         probe = pk.match_fixed(sys1, sys2, letters, d, cfg.solver_cap)
         if probe.status == pk.UNSAT and probe.certain:
             return Verdict(
@@ -251,13 +234,23 @@ def decide_ltt(spec, cfg=None):
                 notes={"usable_threshold": d, "on": "reduced"},
             )
         if probe.status != pk.SAT:
-            return Verdict("ltt", None, 1, d, flags=["solver-budget"])
+            return Verdict("ltt", None, 1, d, flags=_budget_flags(probe))
         d *= 2
     return Verdict(
         "ltt", None, 1, "limit",
         flags=["certificate-incomplete"],
         notes={"detail": "no certificate, yet matches exist at all probed thresholds"},
     )
+
+
+def decide_lt(spec, cfg=None):
+    """Separability by a locally testable language (threshold 1, some width)."""
+    return _decide_full(spec, cfg, "lt", _settle_lt)
+
+
+def decide_ltt(spec, cfg=None):
+    """Separability by a locally threshold testable language (any threshold)."""
+    return _decide_full(spec, cfg, "ltt", _settle_ltt)
 
 
 def _sig_probe(spec, k, d, cfg):
@@ -273,56 +266,24 @@ def _sig_probe(spec, k, d, cfg):
         )
     except AnnotationBudgetError:
         return None
-    if not targets:
-        return True
     target_dicts = [dict(t) for t in targets]
 
-    compat_cache = {}
-
+    @cache
     def compat(counts):
-        got = compat_cache.get(counts)
-        if got is None:
-            got = any(
-                all(c <= t.get(p, 0) for (p, c) in counts)
-                for t in target_dicts
-            )
-            compat_cache[counts] = got
-        return got
+        return any(
+            all(c <= t.get(p, 0) for (p, c) in counts) for t in target_dicts
+        )
 
-    from collections import deque
-
-    kl, kr = split_width(k)
-    w_len = kl + kr
     fset = set(spec.f2)
-    delta = {}
-    for (p, a, q) in spec.nfa.transitions:
-        delta.setdefault(p, []).append((a, q))
-
-    def hit(q, buf, counts, length):
-        return q in fset and window_flush(buf, counts, k, d, length) in targets
-
-    seen = set()
-    queue = deque()
-    for q0 in set(spec.i2):
-        st = (q0, (), frozenset(), 0)
-        if st not in seen:
-            if hit(*st):
+    walk = window_walk(
+        out_edges(spec.nfa), spec.i2, k, d, cfg.signature_budget, compat
+    )
+    try:
+        for _src, _a, (q, buf, counts, fill), new in walk:
+            if new and q in fset and window_flush(buf, counts, k, d, fill) in targets:
                 return False
-            seen.add(st)
-            queue.append(st)
-    while queue:
-        q, buf, counts, length = queue.popleft()
-        for (a, q2) in delta.get(q, ()):
-            nbuf, ncounts = window_step(buf, counts, a, k, d)
-            st = (q2, nbuf, ncounts, min(length + 1, w_len))
-            if st in seen or not compat(ncounts):
-                continue
-            if hit(*st):
-                return False
-            if len(seen) >= cfg.signature_budget:
-                return None
-            seen.add(st)
-            queue.append(st)
+    except AnnotationBudgetError:
+        return None
     return True
 
 
@@ -338,8 +299,8 @@ def _fallback(spec, cfg, problem):
     reports unknown.
     """
     flags = ["reduction-budget"]
-    schedule = cfg.probe_schedule if problem == "ltt" else tuple(
-        dict.fromkeys((k, 1) for (k, _d) in cfg.probe_schedule)
+    schedule = PROBE_SCHEDULE if problem == "ltt" else tuple(
+        dict.fromkeys((k, 1) for (k, _d) in PROBE_SCHEDULE)
     )
 
     def probe_verdict(k, d):
@@ -359,27 +320,23 @@ def _fallback(spec, cfg, problem):
     v = probe_verdict(*schedule[0])
     if v is not None:
         return v
-    pool = build_reduced_pool(spec, cfg.pool_max_letters)
+    pool = build_reduced_pool(spec)
     sys1, sys2, letters = _reduced_systems(pool)
     res = pk.match_fixed(sys1, sys2, letters, None, cfg.solver_cap)
     if res.status == pk.SAT:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)
 
-        def replay(d, ell=1):
-            pat = decode_pattern(pool, r1, r2, d)
-            return pump_pattern(pat, ell, d)
+        def pattern(d):
+            return decode_pattern(pool, r1, r2, d)
 
-        pat = decode_pattern(pool, r1, r2, 1)
-        v2 = Verdict(
-            problem, False, 1,
-            "limit" if problem == "ltt" else 1,
-            witness=pat,
+        return Verdict(
+            problem, False, 1, "limit" if problem == "ltt" else 1,
+            witness=pattern(1),
             flags=flags,
             notes={"via": "exact-match-pool"},
+            _replay=lambda d, ell=1: pump_pattern(pattern(d), ell, d),
         )
-        v2._replay = replay
-        return v2
     for (k, d) in schedule[1:]:
         v = probe_verdict(k, d)
         if v is not None:
@@ -443,42 +400,33 @@ def separator_membership(handle, w):
 def separator_automaton(handle, budget=100_000):
     """Materialize the separator as an explicit deterministic automaton.
 
-    States are (window buffer, capped counts, fill degree); a state accepts
-    when its flushed signature is the capped image of some L1 word.
+    States are (window buffer, capped counts, fill degree), numbered in
+    discovery order of a window walk over one state looping on every letter;
+    a state accepts when its flushed signature is the capped image of some
+    L1 word.
     """
     spec = handle.spec
     k, d = handle.k, handle.d
     sigs = language_signatures(
         spec.nfa, spec.i1, spec.f1, k, d, budget
     )
-    kl, kr = split_width(k)
-    w_len = kl + kr
     alphabet = tuple(spec.nfa.alphabet)
-    start = ((), frozenset(), 0)
-    index = {start: 0}
-    order = [start]
+    loops = {0: [(a, 0) for a in alphabet]}
+    index = {}
     transitions = set()
-    pos = 0
-    while pos < len(order):
-        buf, counts, length = order[pos]
-        src = pos
-        pos += 1
-        for a in alphabet:
-            nbuf, ncounts = window_step(buf, counts, a, k, d)
-            nlength = min(length + 1, w_len)
-            st = (nbuf, ncounts, nlength)
-            if st not in index:
-                if len(order) >= budget:
-                    raise AnnotationBudgetError(
-                        "separator automaton exceeded %d states" % budget
-                    )
-                index[st] = len(order)
-                order.append(st)
-            transitions.add((src, a, index[st]))
+    try:
+        for src, a, st, new in window_walk(loops, (0,), k, d, budget):
+            if new:
+                index[st] = len(index)
+            if src is not None:
+                transitions.add((index[src], a, index[st]))
+    except AnnotationBudgetError:
+        raise AnnotationBudgetError(
+            "separator automaton exceeded %d states" % budget
+        ) from None
     f = frozenset(
-        index[st]
-        for st in order
-        if window_flush(st[0], st[1], k, d, st[2]) in sigs
+        n for (_q, buf, counts, fill), n in index.items()
+        if window_flush(buf, counts, k, d, fill) in sigs
     )
-    nfa = Nfa(len(order), alphabet, frozenset(transitions))
+    nfa = Nfa(len(index), alphabet, frozenset(transitions))
     return nfa, frozenset([0]), f

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, output schema, and subcommands."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ltsep.automata import parse_spec
+import ltsep
+from ltsep.automata import parse_spec, serialize_spec
 from ltsep.cli import (
     EXIT_ERROR,
     EXIT_INSEPARABLE,
@@ -13,7 +17,7 @@ from ltsep.cli import (
     RunConfig,
     main,
 )
-from ltsep.testkit import gen_parity
+from ltsep.testkit import gen_parity, gen_random
 
 
 @pytest.fixture
@@ -88,6 +92,27 @@ class TestDecide:
         second = capsys.readouterr().out
         assert first == second
         assert "timing_ms" not in first
+
+    def test_json_independent_of_hash_seed(self, tmp_path):
+        # set iteration order follows PYTHONHASHSEED, which is fixed per
+        # interpreter, so only separate processes can show a dependence
+        runs = [
+            (gen_random(26, 4, 2, 0.3), ["--class", "lt"]),
+            (gen_random(7, 3, 2, 0.35), ["--class", "fixed", "--k", "2", "--d", "1"]),
+        ]
+        src = os.path.dirname(os.path.dirname(ltsep.__file__))
+        for n, (spec, opts) in enumerate(runs):
+            path = tmp_path / ("spec%d.txt" % n)
+            path.write_text(serialize_spec(spec))
+            argv = [sys.executable, "-m", "ltsep.cli", "decide", str(path),
+                    "--json", "--no-timing"] + opts
+            outs = []
+            for seed in ("0", "3"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                done = subprocess.run(argv, env=env, capture_output=True, text=True)
+                assert done.returncode == EXIT_INSEPARABLE, done.stderr
+                outs.append(done.stdout)
+            assert outs[0] == outs[1]
 
     def test_timing_present_by_default(self, parity_file, capsys):
         main(["decide", parity_file, "--json"])

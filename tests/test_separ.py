@@ -11,6 +11,7 @@ from ltsep.reduction import DPattern
 from ltsep.separ import (
     EngineConfig,
     WitnessPair,
+    _sig_probe,
     decide_fixed,
     decide_lt,
     decide_ltt,
@@ -31,6 +32,14 @@ from ltsep.testkit import (
 def _fork_spec():
     """L1 = {a}, L2 = {b} over a shared three-state automaton."""
     nfa = Nfa(3, ("a", "b"), frozenset([(0, "a", 1), (0, "b", 2)]))
+    return LangSpec(nfa, frozenset([0]), frozenset([1]), frozenset([0]), frozenset([2]))
+
+
+def _one_versus_two_b():
+    """L1 = a*ba*, L2 = a*ba*ba*: exactly one b against exactly two."""
+    nfa = Nfa(3, ("a", "b"), frozenset([
+        (0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 2), (2, "a", 2),
+    ]))
     return LangSpec(nfa, frozenset([0]), frozenset([1]), frozenset([0]), frozenset([2]))
 
 
@@ -110,6 +119,15 @@ class TestDecideFull:
                 assert accepts(spec.nfa, spec.i2, spec.f2, w2)
                 assert equivalent(w1, w2, ell, d)
 
+    @pytest.mark.xfail(strict=True, reason="the reduction path answers separable")
+    def test_lt_one_versus_two_b_inseparable(self):
+        # with n letters a around each b, windows of width k < n never see
+        # two b's, so a^n b a^n and a^n b a^n b a^n agree at (k, 1)
+        w1 = ("a",) * 25 + ("b",) + ("a",) * 25
+        w2 = w1 + ("b",) + ("a",) * 25
+        assert all(equivalent(w1, w2, k, 1) for k in range(1, 25))
+        assert decide_lt(_one_versus_two_b()).separable is not True
+
     def test_replay_requires_witness(self):
         v = decide_lt(_fork_spec())
         with pytest.raises(ValueError):
@@ -162,6 +180,10 @@ class TestSeparator:
         v = decide_fixed(_fork_spec(), 2, 1)
         handle = v.separator
         nfa, i, f = separator_automaton(handle)
+        # deterministic and complete: one successor per state and letter
+        delta = nfa.delta()
+        assert len(delta) == nfa.n_states * len(nfa.alphabet)
+        assert all(len(succs) == 1 for succs in delta.values())
         rng = random.Random(5)
         for _ in range(100):
             w = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(0, 6)))
@@ -186,6 +208,19 @@ class TestSeparator:
         assert checked >= 3
 
 
+class TestSigProbe:
+    def test_agrees_with_signature_oracle(self):
+        rng = random.Random(99)
+        for seed in range(30):
+            spec = gen_random(300 + seed, rng.randint(1, 4), rng.randint(1, 2), 0.35)
+            for k, d in ((1, 1), (1, 2), (2, 1)):
+                separable = exact_fixed_oracle(spec, k, d) == "separable"
+                assert _sig_probe(spec, k, d, EngineConfig()) is separable, (seed, k, d)
+
+    def test_budget_gives_none(self):
+        assert _sig_probe(gen_parity(), 2, 1, EngineConfig(signature_budget=1)) is None
+
+
 class TestEngineConfig:
     def test_budget_flags_surface(self):
         cfg = EngineConfig(solver_cap=1)
@@ -196,3 +231,12 @@ class TestEngineConfig:
         assert v.separable in (False, None)
         if v.separable is None:
             assert v.flags
+
+    def test_box_bound_flag_on_every_path(self):
+        # solver_cap=1 leaves each match UNSAT but uncertain: the box bound
+        # ran out, not the solver
+        cfg = EngineConfig(solver_cap=1)
+        spec = _fork_spec()
+        for v in (decide_fixed(spec, 1, 1, cfg), decide_lt(spec, cfg), decide_ltt(spec, cfg)):
+            assert v.separable is None
+            assert v.flags == ["box-bound"], v.problem
