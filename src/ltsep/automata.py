@@ -158,13 +158,13 @@ def shortest_word(nfa, i, f):
     if i & f:
         return ()
     succ = {}
-    for (p, a, q) in sorted(nfa.transitions):
+    for (p, a, q) in nfa.transitions:
         succ.setdefault(p, []).append((a, q))
     back = {q: None for q in i}
     queue = deque(i)
     while queue:
         p = queue.popleft()
-        for (a, q) in succ.get(p, ()):
+        for (a, q) in sorted(succ.get(p, ())):
             if q not in back:
                 back[q] = (p, a)
                 if q in f:
