@@ -1,4 +1,10 @@
-"""Transition monoid (Boolean matrices) and the derived parameter bounds."""
+"""Transition monoid and semigroup (Boolean matrices) and the parameter bounds.
+
+One breadth-first closure records, for each element, the first word reaching
+it, letters taken in alphabet order: its shortlex-least word.  The monoid is
+the closure seeded with the identity and the letters, the semigroup the one
+seeded with the letters only.
+"""
 
 from dataclasses import dataclass
 
@@ -49,46 +55,43 @@ def word_matrix(nfa, w):
 class TransitionMonoid:
     """Closure of the letter matrices under Boolean product.
 
-    elements[0] is the identity; generator_of maps each symbol to the index
-    of its letter matrix.
+    elements lists the matrices in discovery order, words[i] is the
+    shortlex-least word (letters in alphabet order) whose matrix is
+    elements[i], and index maps each matrix to its position.  In the monoid
+    elements[0] is the identity, reached by the empty word.
     """
 
     elements: list
-    generator_of: dict
+    words: list
     index: dict
 
     @property
     def size(self):
         return len(self.elements)
 
-    def eval_word(self, w):
-        """Index of the matrix of w (the word -> monoid morphism)."""
-        cur = self.elements[0]
-        for a in w:
-            cur = mat_mul(cur, self.elements[self.generator_of[a]])
-        return self.index[cur]
 
+def _closure(nfa, with_identity, budget):
+    """Breadth-first closure under right multiplication by the letters.
 
-def transition_monoid(nfa, budget=100_000):
-    """Compute the transition monoid; fails loudly past the element budget."""
-    ident = identity_matrix(nfa.n_states)
-    elements = [ident]
-    index = {ident: 0}
-    generator_of = {}
-    gens = []
-    for a in nfa.alphabet:
-        m = letter_matrix(nfa, a)
+    Letters are taken in alphabet order, so each element is first reached by
+    its shortlex-least word.  The seeds (the identity when asked, then the
+    letters) are always kept; a new product past the budget raises.
+    """
+    gens = [(a, letter_matrix(nfa, a)) for a in nfa.alphabet]
+    seeds = [(identity_matrix(nfa.n_states), ())] if with_identity else []
+    seeds += [(m, (a,)) for a, m in gens]
+    elements, words, index = [], [], {}
+    for m, w in seeds:
         if m not in index:
             index[m] = len(elements)
             elements.append(m)
-        generator_of[a] = index[m]
-        gens.append(m)
-    frontier = list(elements)
+            words.append(w)
+    frontier = range(len(elements))
     while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g)
+        first = len(elements)
+        for i in frontier:
+            for a, g in gens:
+                prod = mat_mul(elements[i], g)
                 if prod not in index:
                     if len(elements) >= budget:
                         raise MonoidBudgetError(
@@ -96,9 +99,21 @@ def transition_monoid(nfa, budget=100_000):
                         )
                     index[prod] = len(elements)
                     elements.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return TransitionMonoid(elements, generator_of, index)
+                    words.append(words[i] + (a,))
+        frontier = range(first, len(elements))
+    return TransitionMonoid(elements, words, index)
+
+
+def transition_monoid(nfa, budget=100_000):
+    """The transition monoid: the closure seeded with the identity and the
+    letters; fails loudly past the element budget."""
+    return _closure(nfa, True, budget)
+
+
+def transition_semigroup(nfa, budget=100_000):
+    """The transition semigroup: the closure seeded with the letters only,
+    so every element is reached by a nonempty word."""
+    return _closure(nfa, False, budget)
 
 
 def profile_width_bound(m):

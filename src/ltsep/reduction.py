@@ -7,6 +7,15 @@ reduced automaton have the shape (weak) or (prefix)(infix)*(suffix); matched
 word pairs decode into a common threshold pattern over the original alphabet
 (prefix block, counted middle blocks, suffix block) which pumps into concrete
 word pairs that are profile-equivalent at any requested width.
+
+Synchronizable sets are read off the transition semigroup of the useful part
+(`monoid.transition_semigroup`), whose elements carry shortlex-least words: a
+pair set's middle word is () when every pair is diagonal, otherwise the word of
+the first element whose relation holds every pair; a state set's loop is the
+word of the first element whose diagonal holds every state.  A run between
+useful states visits only useful states, so the restriction loses no word.
+Loops need the semigroup, not the monoid: in the parity pair the loop at {0}
+is aa, and aa acts as the identity.
 """
 
 from dataclasses import dataclass
@@ -14,78 +23,20 @@ from collections import deque
 from itertools import combinations
 
 from .automata import Nfa, LangSpec, accepts, reachable, coreachable
+from .monoid import MonoidBudgetError, transition_semigroup
 
 
 class SyncBudgetError(RuntimeError):
-    """Candidate enumeration or witness search exceeded its budget."""
+    """Candidate enumeration or the transition semigroup exceeded its budget."""
 
 
-def _det_tuple_bfs(nfa, starts, is_target, min_len=0, node_cap=200_000):
-    """Shortest word driving each tracked component set per is_target.
+def common_mid(covers, pairs):
+    """Word of the first cover whose relation holds every pair, or None.
 
-    starts is a tuple of frozensets (one reachable-set per tracked component);
-    the component sets evolve deterministically under letters, so this is a
-    BFS over tuples of subsets.  Returns the shortest word of length >= min_len
-    satisfying the target predicate, or None.
+    covers lists (relation, word) in discovery order, a relation being the
+    frozenset of pairs (p, q) with a run p -> q labelled word.
     """
-    delta = nfa.delta()
-
-    def step(sets, a):
-        out = []
-        for s in sets:
-            nxt = set()
-            for q in s:
-                nxt |= delta.get((q, a), set())
-            if not nxt:
-                return None
-            out.append(frozenset(nxt))
-        return tuple(out)
-
-    if min_len == 0 and is_target(starts):
-        return ()
-    seen = {starts}
-    queue = deque([(starts, ())])
-    while queue:
-        sets, word = queue.popleft()
-        for a in nfa.alphabet:
-            nxt = step(sets, a)
-            if nxt is None:
-                continue
-            w2 = word + (a,)
-            if is_target(nxt):
-                return w2
-            if nxt in seen:
-                continue
-            if len(seen) >= node_cap:
-                raise SyncBudgetError("witness search exceeded %d nodes" % node_cap)
-            seen.add(nxt)
-            queue.append((nxt, w2))
-    return None
-
-
-def common_mid(nfa, pairs, node_cap=200_000):
-    """Shortest u with a run p -> q labelled u for every pair (p,q), or None."""
-    pairs = sorted(pairs)
-    starts = tuple(frozenset([p]) for (p, _q) in pairs)
-    targets = [q for (_p, q) in pairs]
-
-    def hit(sets):
-        return all(t in s for s, t in zip(sets, targets))
-
-    return _det_tuple_bfs(nfa, starts, hit, min_len=0, node_cap=node_cap)
-
-
-def common_loop(nfa, states, node_cap=200_000):
-    """Shortest nonempty v looping at every state of the set, or None."""
-    states = sorted(states)
-    starts = tuple(frozenset([q]) for q in states)
-
-    def hit(sets):
-        return all(q in s for s, q in zip(sets, states))
-
-    # a nonempty loop exists iff one exists visiting no tuple twice, so the
-    # deduplicated BFS is complete; min_len=1 skips the trivial empty word
-    return _det_tuple_bfs(nfa, starts, hit, min_len=1, node_cap=node_cap)
+    return next((w for rel, w in covers if pairs <= rel), None)
 
 
 @dataclass(frozen=True)
@@ -123,13 +74,18 @@ class ReducedSpec:
         return LangSpec(self.nfa, self.i1, self.f1, self.i2, self.f2)
 
 
-def sync_sets(nfa, i1, f1, i2, f2, candidate_budget=8192, node_cap=200_000):
+def sync_sets(nfa, i1, f1, i2, f2, candidate_budget=8192):
     """Enumerate synchronizable pair sets over the useful part of the automaton.
 
     Returns (catalog: list of SyncSet, loop_witness dict).  Pairs are
     restricted to (p, q) with p reachable from I1 ∪ I2 and q co-reachable to
-    F1 ∪ F2; sets whose middle-word search fails are dropped, and supersets of
-    sets failing the common-middle condition are pruned.
+    F1 ∪ F2; a single pair's middle word is its shortest labelled path.  After
+    the candidate budget check, the semigroup of the useful part is built once
+    and answers the rest by lookup (see the module docstring): a pair set's
+    middle word is () when every pair is diagonal, else the word of the first
+    element holding every pair, and the set is dropped if none does; a state
+    set's loop is the word of the first element whose diagonal holds every
+    state.  Past either budget, SyncBudgetError.
     """
     fwd = reachable(nfa, set(i1) | set(i2))
     bwd = coreachable(nfa, set(f1) | set(f2))
@@ -156,25 +112,36 @@ def sync_sets(nfa, i1, f1, i2, f2, candidate_budget=8192, node_cap=200_000):
             "2^%d candidate pair-sets exceed budget %d; reduce the input"
             % (len(pairs_all), candidate_budget)
         )
-    loop_cache = {}
+    useful = fwd & bwd
+    inner = Nfa(nfa.n_states, nfa.alphabet, frozenset(
+        t for t in nfa.transitions if t[0] in useful and t[2] in useful
+    ))
+    try:
+        semigroup = transition_semigroup(inner)
+    except MonoidBudgetError as exc:
+        raise SyncBudgetError(str(exc)) from exc
+    covers = [
+        (frozenset((p, q) for p in useful for q in useful if m[p] >> q & 1), w)
+        for m, w in zip(semigroup.elements, semigroup.words)
+    ]
+    loops = {}
 
     def loop_of(states):
-        key = frozenset(states)
-        if key not in loop_cache:
-            loop_cache[key] = common_loop(nfa, key, node_cap)
-        return loop_cache[key]
+        if states not in loops:
+            loops[states] = common_mid(covers, frozenset((q, q) for q in states))
+        return loops[states]
 
     catalog = []
-    failed_a = set()
     for size in range(1, len(pairs_all) + 1):
         for combo in combinations(pairs_all, size):
             t = frozenset(combo)
-            if size > 1 and any(t - {x} in failed_a for x in combo):
-                failed_a.add(t)
-                continue
-            mid = common_mid(nfa, combo, node_cap) if size > 1 else pair_lang[combo[0]]
+            if size == 1:
+                mid = pair_lang[combo[0]]
+            elif all(p == q for (p, q) in combo):
+                mid = ()
+            else:
+                mid = common_mid(covers, t)
             if mid is None:
-                failed_a.add(t)
                 continue
             lefts = frozenset(p for (p, _q) in combo)
             rights = frozenset(q for (_p, q) in combo)
@@ -187,8 +154,7 @@ def sync_sets(nfa, i1, f1, i2, f2, candidate_budget=8192, node_cap=200_000):
                 catalog.append(SyncSet(t, "s", mid, vl, None, lefts, rights))
             if vl is not None and vr is not None:
                 catalog.append(SyncSet(t, "i", mid, vl, vr, lefts, rights))
-    loops = {r: w for r, w in loop_cache.items() if w is not None}
-    return catalog, loops
+    return catalog, {r: w for r, w in loops.items() if w is not None}
 
 
 def _assemble(spec, catalog, loops):
@@ -254,10 +220,10 @@ def _assemble(spec, catalog, loops):
     return ReducedSpec(nfa, i1, f1, i2, f2, used, dict(loops), spec, tags)
 
 
-def build_reduced(spec, candidate_budget=8192, node_cap=200_000):
+def build_reduced(spec, candidate_budget=8192):
     """The full reduced automaton over all synchronizable pair sets."""
     catalog, loops = sync_sets(
-        spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2, candidate_budget, node_cap
+        spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2, candidate_budget
     )
     return _assemble(spec, catalog, loops)
 
@@ -313,8 +279,9 @@ def build_reduced_pool(spec, max_letters=4000):
                 put(("s", mid, gl), (p, q))
     catalog = []
     loops = {}
-    for g, r in ring.items():
-        loops.setdefault(r, (g,))
+    for g in sorted(ring):
+        # letters looping at the same states: the least one names the loop
+        loops.setdefault(ring[g], (g,))
     for key in sorted(buckets):
         pairs = buckets[key]
         kind, mid = key[0], key[1]

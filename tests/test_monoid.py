@@ -14,6 +14,7 @@ from ltsep.monoid import (
     profile_width_bound,
     threshold_bound,
     transition_monoid,
+    transition_semigroup,
     word_matrix,
 )
 from ltsep.testkit import gen_parity, gen_random
@@ -57,27 +58,59 @@ class TestMatrices:
                 )
 
 
+def _small_specs():
+    rng = random.Random(31)
+    return [
+        gen_random(seed, rng.randint(1, 3), rng.randint(1, 2), rng.uniform(0.2, 0.5))
+        for seed in range(30)
+    ]
+
+
+def _shortlex(nfa, w):
+    return (len(w), [nfa.alphabet.index(a) for a in w])
+
+
 class TestMonoid:
     def test_parity_monoid(self):
-        m = transition_monoid(gen_parity().nfa)
+        nfa = gen_parity().nfa
+        m = transition_monoid(nfa)
         # identity plus the swap; the swap squares back to the identity
         assert m.size == 2
-        assert m.eval_word(()) == 0
-        assert m.eval_word(("a", "a")) == 0
-        assert m.eval_word(("a",)) != 0
+        assert m.words == [(), ("a",)]
+        assert word_matrix(nfa, ("a", "a")) == m.elements[0]
 
-    def test_eval_word_is_morphism(self):
-        rng = random.Random(7)
-        spec = gen_random(11, 3, 2, 0.4)
-        m = transition_monoid(spec.nfa)
-        sigma = spec.nfa.alphabet
-        for _ in range(30):
-            u = tuple(rng.choice(sigma) for _ in range(rng.randint(0, 4)))
-            v = tuple(rng.choice(sigma) for _ in range(rng.randint(0, 4)))
-            uv = m.elements[m.eval_word(u + v)]
-            assert uv == mat_mul(
-                m.elements[m.eval_word(u)], m.elements[m.eval_word(v)]
-            )
+    @pytest.mark.parametrize(
+        "closure", [transition_monoid, transition_semigroup], ids=["monoid", "semigroup"]
+    )
+    def test_recorded_words(self, closure):
+        for spec in _small_specs():
+            nfa = spec.nfa
+            m = closure(nfa)
+            assert len(m.words) == m.size == len(m.index)
+            for i, (e, w) in enumerate(zip(m.elements, m.words)):
+                assert m.index[e] == i
+                assert word_matrix(nfa, w) == e
+            # discovery order is shortlex order of the recorded words
+            keys = [_shortlex(nfa, w) for w in m.words]
+            assert all(x < y for x, y in zip(keys, keys[1:]))
+            # closed under right multiplication by every letter
+            for e in m.elements:
+                for a in nfa.alphabet:
+                    assert mat_mul(e, letter_matrix(nfa, a)) in m.index
+            # no shortlex-smaller word reaches an element
+            least = {}
+            start = 0 if closure is transition_monoid else 1
+            for n in range(start, 7):
+                for w in itertools.product(nfa.alphabet, repeat=n):
+                    least.setdefault(word_matrix(nfa, w), w)
+            # every element is reached within length 6 on these specs
+            assert len(least) == m.size
+            for e, w in least.items():
+                assert m.words[m.index[e]] == w
+            if closure is transition_monoid:
+                assert m.words[0] == ()
+            else:
+                assert all(m.words)
 
     def test_every_word_matrix_in_monoid(self):
         spec = gen_random(13, 3, 2, 0.4)
@@ -89,6 +122,8 @@ class TestMonoid:
         spec = gen_random(21, 5, 2, 0.5)
         with pytest.raises(MonoidBudgetError):
             transition_monoid(spec.nfa, budget=2)
+        with pytest.raises(MonoidBudgetError):
+            transition_semigroup(spec.nfa, budget=2)
 
 
 class TestBounds:

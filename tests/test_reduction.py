@@ -1,16 +1,21 @@
 """Width-1 reduction: synchronizable sets, the reduced automaton, and
 pattern decoding/pumping."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ltsep
 from ltsep.automata import Nfa, accepts
 from ltsep.profiles import equivalent
+from ltsep import monoid, reduction, separ
 from ltsep import parikh as pk
 from ltsep.reduction import (
     SyncBudgetError,
     build_reduced,
     build_reduced_pool,
-    common_loop,
     common_mid,
     decode_pattern,
     find_run,
@@ -20,20 +25,42 @@ from ltsep.reduction import (
 from ltsep.testkit import Cnf3, gen_parity, gen_random, gen_sat_instance
 
 
+def _catalog_of(nfa, i1, f1, i2, f2):
+    catalog, loops = sync_sets(nfa, i1, f1, i2, f2)
+    return {b.pairs: b.witness_mid for b in catalog}, loops
+
+
 class TestSynchronization:
     def test_common_mid(self):
-        nfa = gen_parity().nfa
-        assert common_mid(nfa, [(0, 1)]) == ("a",)
-        assert common_mid(nfa, [(0, 0), (1, 1)]) == ()
+        spec = gen_parity()
+        mids, _loops = _catalog_of(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+        assert mids[frozenset([(0, 1)])] == ("a",)
+        assert mids[frozenset([(0, 0), (1, 1)])] == ()
         # no single word maps 0 -> 0 and 0 -> 1 in a deterministic automaton
-        assert common_mid(nfa, [(0, 0), (0, 1)]) is None
+        assert frozenset([(0, 0), (0, 1)]) not in mids
+
+    def test_common_mid_scans_in_order(self):
+        covers = [
+            (frozenset([(0, 1)]), ("a",)),
+            (frozenset([(0, 1), (1, 0)]), ("b",)),
+            (frozenset([(0, 1), (1, 0), (1, 1)]), ("a", "a")),
+        ]
+        assert common_mid(covers, frozenset([(0, 1)])) == ("a",)
+        assert common_mid(covers, frozenset([(1, 0)])) == ("b",)
+        assert common_mid(covers, frozenset([(1, 1), (0, 1)])) == ("a", "a")
+        assert common_mid(covers, frozenset([(0, 0)])) is None
 
     def test_common_loop(self):
-        nfa = gen_parity().nfa
-        assert common_loop(nfa, [0]) == ("a", "a")
-        assert common_loop(nfa, [0, 1]) == ("a", "a")
+        spec = gen_parity()
+        _mids, loops = _catalog_of(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+        # aa acts as the identity, yet a loop must be nonempty
+        assert loops[frozenset([0])] == ("a", "a")
+        assert loops[frozenset([0, 1])] == ("a", "a")
         chain = Nfa(2, ("a",), frozenset([(0, "a", 1)]))
-        assert common_loop(chain, [0]) is None
+        ends = frozenset([0]), frozenset([1])
+        mids, loops = _catalog_of(chain, *ends, *ends)
+        assert mids[frozenset([(0, 1)])] == ("a",)
+        assert frozenset([0]) not in loops
 
     def test_sync_sets_parity(self):
         spec = gen_parity()
@@ -52,6 +79,49 @@ class TestSynchronization:
                 spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2,
                 candidate_budget=2,
             )
+
+    def test_catalog_words_run(self):
+        specs = [gen_parity()] + [gen_random(s, 3, 2, 0.35) for s in range(6)]
+        checked = 0
+        for spec in specs:
+            nfa = spec.nfa
+            catalog, loops = sync_sets(nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+            for b in catalog:
+                for (p, q) in b.pairs:
+                    assert accepts(nfa, {p}, {q}, b.witness_mid)
+                for word, states in (
+                    (b.witness_left, b.left_set),
+                    (b.witness_right, b.right_set),
+                ):
+                    if word is not None:
+                        assert word == loops[states]
+                checked += 1
+            for states, word in loops.items():
+                assert word
+                for q in states:
+                    assert accepts(nfa, {q}, {q}, word)
+        assert checked > 100
+
+    def test_semigroup_budget(self, monkeypatch):
+        monkeypatch.setattr(
+            reduction, "transition_semigroup",
+            lambda nfa: monoid.transition_semigroup(nfa, budget=1),
+        )
+        spec = gen_parity()
+        with pytest.raises(SyncBudgetError):
+            sync_sets(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+        calls = []
+        real_fallback = separ._fallback
+
+        def fallback(*args, **kwargs):
+            calls.append(args)
+            return real_fallback(*args, **kwargs)
+
+        monkeypatch.setattr(separ, "_fallback", fallback)
+        v = separ.decide_ltt(spec)
+        assert len(calls) == 1
+        assert "reduction-budget" in v.flags
+        assert v.separable is not True
 
 
 class TestBuildReduced:
@@ -118,6 +188,26 @@ class TestPool:
             if b.witness_right:
                 for q in b.right_set:
                     assert accepts(spec.nfa, {q}, {q}, b.witness_right)
+
+    def test_pool_loop_letter_independent_of_hash_seed(self):
+        # a and c both self-loop at exactly state 1; set iteration order
+        # follows PYTHONHASHSEED, so only separate processes show the choice
+        code = (
+            "from ltsep.reduction import build_reduced_pool\n"
+            "from ltsep.testkit import gen_random\n"
+            "pool = build_reduced_pool(gen_random(90018, 3, 3, 0.35))\n"
+            "print(pool.loop_witness[frozenset([1])])\n"
+        )
+        src = os.path.dirname(os.path.dirname(ltsep.__file__))
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs == ["('a',)\n", "('a',)\n"]
 
     def test_pool_respects_letter_cap(self):
         cnf = Cnf3(2, ((1, 2, 2), (-1, -2, -2)))
