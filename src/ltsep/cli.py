@@ -1,39 +1,25 @@
 """Command-line front end.
 
 Subcommands: decide, witness, separator, reduce, bounds, profiles, gen,
-oracle.  Exit codes for decision commands: 0 separable, 1 inseparable,
-2 unknown, 3 usage or runtime error.
+oracle.  decide, witness and separator share one handler: they run the same
+decision and differ only in what they report.  Exit codes for decision
+commands: 0 separable, 1 inseparable, 2 unknown, 3 usage or runtime error.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import separ
-from .automata import (
-    SpecFormatError,
-    dot_export,
-    parse_spec,
-    serialize_spec,
-)
+from .automata import SpecFormatError, dot_export, parse_spec, serialize_spec
 from .monoid import (
-    MonoidBudgetError,
-    profile_width_bound,
-    threshold_bound,
-    transition_monoid,
+    MonoidBudgetError, num_profiles, profile_width_bound, threshold_bound, transition_monoid,
 )
 from .profiles import capped_image, profile_at
 from .reduction import SyncBudgetError, build_reduced
 from .testkit import (
-    Cnf3,
-    exact_fixed_oracle,
-    gen_parity,
-    gen_random,
-    gen_sat_instance,
-    gen_threshold_family,
-    parse_cnf,
+    exact_fixed_oracle, gen_parity, gen_random, gen_sat_instance, gen_threshold_family, parse_cnf,
 )
 
 EXIT_SEPARABLE = 0
@@ -42,36 +28,11 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 
-@dataclass
-class RunConfig:
-    """Parsed command-line options relevant to a decision run."""
-
-    problem: str = "ltt"
-    k: int = None
-    d: int = None
-    as_json: bool = False
-    emit_witness: bool = False
-    emit_separator: bool = False
-    pump_width: int = 1
-    solver_cap: int = 100_000
-    state_budget: int = 500_000
-    no_timing: bool = False
-    dot: str = None
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.d is not None and self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.pump_width < 1 or self.solver_cap < 1 or self.state_budget < 1:
-            raise ValueError("budgets must be positive")
-
-    def engine(self):
-        return separ.EngineConfig(
-            annot_budget=self.state_budget,
-            solver_cap=self.solver_cap,
-            signature_budget=self.state_budget,
-        )
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def _add_common(p, need_spec=True):
@@ -82,40 +43,27 @@ def _add_common(p, need_spec=True):
     p.add_argument("--dot", metavar="FILE", help="write the relevant automaton as DOT")
 
 
-def _add_decision(p):
-    p.add_argument("--class", dest="cls", choices=("lt", "ltt", "fixed"), default="ltt")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--emit-witness", action="store_true")
-    p.add_argument("--emit-separator", action="store_true")
-    p.add_argument("--pump-width", type=int, default=1, metavar="L")
-    p.add_argument("--solver-cap", type=int, default=100_000)
-    p.add_argument("--state-budget", type=int, default=500_000)
+def _add_kd(p):
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--d", type=_positive)
 
 
-def _config(args):
-    return RunConfig(
-        problem=getattr(args, "cls", "ltt"),
-        k=getattr(args, "k", None),
-        d=getattr(args, "d", None),
-        as_json=args.as_json,
-        emit_witness=getattr(args, "emit_witness", False),
-        emit_separator=getattr(args, "emit_separator", False),
-        pump_width=getattr(args, "pump_width", 1),
-        solver_cap=getattr(args, "solver_cap", 100_000),
-        state_budget=getattr(args, "state_budget", 500_000),
-        no_timing=args.no_timing,
-        dot=args.dot,
+def _add_state_budget(p):
+    p.add_argument(
+        "--state-budget", type=_positive, default=separ.EngineConfig.state_budget
     )
 
 
-def _read_spec(path):
+def _read_text(path):
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return parse_spec(text)
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write_dot(path, nfa, initial, final):
+    with open(path, "w") as fh:
+        fh.write(dot_export(nfa, initial, final))
 
 
 def _jsonable(x):
@@ -128,17 +76,18 @@ def _jsonable(x):
     return str(x)
 
 
-def _emit(doc, cfg, started):
-    if not cfg.no_timing:
+def _emit(doc, args, started):
+    if not args.no_timing:
         doc["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-    if cfg.as_json:
+    if args.as_json:
         print(json.dumps(doc, sort_keys=True))
     else:
         for key, val in doc.items():
             print("%s: %s" % (key, json.dumps(_jsonable(val), sort_keys=True)))
 
 
-def _witness_doc(verdict, cfg):
+def _witness_doc(verdict, args):
+    """The witness of an inseparable verdict; ValueError if replay fails."""
     wit = verdict.witness
     if wit is None:
         return None
@@ -150,62 +99,45 @@ def _witness_doc(verdict, cfg):
             "k": wit.k,
             "d": wit.d,
         }
-    if getattr(wit, "word", None) is not None:
+    if wit.word is not None:
         w = list(wit.word)
         return {"type": "common-word", "w1": w, "w2": w}
-    d = cfg.d if cfg.d is not None else 1
-    w1, w2 = separ.replay_witness(verdict, d, cfg.pump_width)
+    d = args.d if args.d is not None else 1
+    w1, w2 = separ.replay_witness(verdict, d, args.pump_width)
     return {
         "type": "pumped-pattern",
         "d": d,
-        "pump_width": cfg.pump_width,
+        "pump_width": args.pump_width,
         "w1": list(w1),
         "w2": list(w2),
     }
 
 
-def _separator_doc(verdict, cfg):
-    handle = verdict.separator
+def _separator_doc(handle, args, explicit):
     if handle is None:
         return None
     doc = {"k": handle.k, "d": handle.d, "form": "implicit"}
-    if cfg.emit_separator:
+    if explicit:
         try:
-            nfa, i, f = separ.separator_automaton(handle, budget=cfg.state_budget)
+            nfa, i, f = separ.separator_automaton(handle, budget=args.state_budget)
             doc["form"] = "explicit"
             doc["states"] = nfa.n_states
-            if cfg.dot:
-                with open(cfg.dot, "w") as fh:
-                    fh.write(dot_export(nfa, [i], [f]))
+            if args.dot:
+                _write_dot(args.dot, nfa, [i], [f])
         except separ.AnnotationBudgetError as exc:
             doc["explicit_error"] = str(exc)
     return doc
 
 
-def _decide(spec, cfg):
-    if cfg.problem == "fixed":
-        if cfg.k is None or cfg.d is None:
+def _decide(spec, args):
+    cfg = separ.EngineConfig(state_budget=args.state_budget, solver_cap=args.solver_cap)
+    if args.cls == "fixed":
+        if args.k is None or args.d is None:
             raise ValueError("--class fixed requires --k and --d")
-        return separ.decide_fixed(spec, cfg.k, cfg.d, cfg.engine())
-    if cfg.problem == "lt":
-        return separ.decide_lt(spec, cfg.engine())
-    return separ.decide_ltt(spec, cfg.engine())
-
-
-def _verdict_doc(verdict, cfg, want_witness, want_separator):
-    doc = {
-        "problem": verdict.problem,
-        "status": verdict.status,
-        "k": verdict.k,
-        "d": verdict.d,
-        "flags": list(verdict.flags),
-        "notes": _jsonable(verdict.notes),
-    }
-    if want_witness and verdict.separable is False:
-        doc["witness"] = _witness_doc(verdict, cfg)
-    if want_separator and verdict.separable is True:
-        doc["separator"] = _separator_doc(verdict, cfg)
-    return doc
+        return separ.decide_fixed(spec, args.k, args.d, cfg)
+    if args.cls == "lt":
+        return separ.decide_lt(spec, cfg)
+    return separ.decide_ltt(spec, cfg)
 
 
 def _exit_code(verdict):
@@ -216,86 +148,96 @@ def _exit_code(verdict):
     return EXIT_UNKNOWN
 
 
-def cmd_decide(args):
+def cmd_decision(args):
+    """decide reports witness and separator, witness only the witness, and
+    separator only the separator (always explicit, null unless separable)."""
     started = time.monotonic()
-    cfg = _config(args)
-    spec = _read_spec(args.spec)
-    if cfg.dot and not cfg.emit_separator:
-        with open(cfg.dot, "w") as fh:
-            fh.write(dot_export(spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2]))
-    verdict = _decide(spec, cfg)
-    # witnesses are cheap once computed, so inseparable verdicts carry them
-    doc = _verdict_doc(verdict, cfg, want_witness=True, want_separator=True)
-    _emit(doc, cfg, started)
-    return _exit_code(verdict)
-
-
-def cmd_witness(args):
-    started = time.monotonic()
-    cfg = _config(args)
-    spec = _read_spec(args.spec)
-    verdict = _decide(spec, cfg)
-    doc = _verdict_doc(verdict, cfg, want_witness=True, want_separator=False)
-    if verdict.separable is False and doc.get("witness") is None:
-        doc["witness_error"] = "verdict carries no materializable witness"
-    _emit(doc, cfg, started)
-    return _exit_code(verdict)
-
-
-def cmd_separator(args):
-    started = time.monotonic()
-    cfg = _config(args)
-    cfg.emit_separator = True
-    spec = _read_spec(args.spec)
-    verdict = _decide(spec, cfg)
-    doc = _verdict_doc(verdict, cfg, want_witness=False, want_separator=True)
-    if verdict.separable is not True:
+    spec = parse_spec(_read_text(args.spec))
+    explicit = args.emit_separator or args.command == "separator"
+    if args.dot and args.command == "decide" and not explicit:
+        _write_dot(args.dot, spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2])
+    verdict = _decide(spec, args)
+    doc = {
+        "problem": verdict.problem,
+        "status": verdict.status,
+        "k": verdict.k,
+        "d": verdict.d,
+        "flags": list(verdict.flags),
+        "notes": _jsonable(verdict.notes),
+    }
+    if args.command != "separator" and verdict.separable is False:
+        try:
+            doc["witness"] = _witness_doc(verdict, args)
+        except ValueError as exc:
+            # the verdict stands, but an unchecked pair is never printed
+            doc["witness"] = None
+            doc["witness_error"] = "witness replay failed: %s" % exc
+        if args.command == "witness" and doc["witness"] is None:
+            doc.setdefault("witness_error", "verdict carries no materializable witness")
+    if args.command != "witness" and verdict.separable is True:
+        doc["separator"] = _separator_doc(verdict.separator, args, explicit)
+    elif args.command == "separator":
         doc["separator"] = None
-    _emit(doc, cfg, started)
+    _emit(doc, args, started)
     return _exit_code(verdict)
 
 
 def cmd_reduce(args):
     started = time.monotonic()
-    cfg = _config(args)
-    spec = _read_spec(args.spec)
+    spec = parse_spec(_read_text(args.spec))
     red = build_reduced(spec)
     doc = {
         "states": red.nfa.n_states,
         "letters": len(red.nfa.alphabet),
         "transitions": len(red.nfa.transitions),
     }
-    if cfg.dot:
-        with open(cfg.dot, "w") as fh:
-            fh.write(dot_export(red.nfa, [red.i1, red.i2], [red.f1, red.f2]))
-    if cfg.as_json:
+    if args.dot:
+        _write_dot(args.dot, red.nfa, [red.i1, red.i2], [red.f1, red.f2])
+    if args.as_json:
         doc["alphabet"] = list(red.nfa.alphabet)
-        _emit(doc, cfg, started)
+        _emit(doc, args, started)
     else:
         print(serialize_spec(red.langspec()), end="")
     return 0
 
 
+def _bound_text(k, alphabet_size, n):
+    """threshold_bound = (profiles * n) ** profiles in decimal when str()
+    allows that many digits, else as the text '(profiles*n)^profiles', with
+    profiles itself written 'num_profiles(k,|A|)' when it is too long too.
+
+    profiles * n >= 2, so the bound has at least profiles * (bits - 1) bits:
+    past 8 * limit bits it has more than limit digits and is never built.
+    """
+    profiles = num_profiles(k, alphabet_size)
+    # 0 means no limit, and Python before 3.10.7 has none: keep CPython's default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if profiles * (profiles * n).bit_length() <= 8 * limit:
+        bound = threshold_bound(k, alphabet_size, n)
+        if bound < 10 ** limit:
+            return str(bound)
+    p = str(profiles) if profiles < 10 ** limit else "num_profiles(%d,%d)" % (k, alphabet_size)
+    return "(%s*%d)^%s" % (p, n, p)
+
+
 def cmd_bounds(args):
     started = time.monotonic()
-    cfg = _config(args)
-    spec = _read_spec(args.spec)
+    spec = parse_spec(_read_text(args.spec))
     monoid = transition_monoid(spec.nfa)
     k = profile_width_bound(monoid)
     asz = len(spec.nfa.alphabet)
     doc = {
         "monoid_size": monoid.size,
         "k": k,
-        "d_from_monoid": str(threshold_bound(k, asz, monoid.size + 1)),
-        "d_from_alphabet": str(threshold_bound(k, asz, asz + 1)),
+        "d_from_monoid": _bound_text(k, asz, monoid.size + 1),
+        "d_from_alphabet": _bound_text(k, asz, asz + 1),
     }
-    _emit(doc, cfg, started)
+    _emit(doc, args, started)
     return 0
 
 
 def cmd_profiles(args):
     started = time.monotonic()
-    cfg = _config(args)
     word = tuple(args.word.split())
     k = args.k if args.k is not None else 2
     doc = {"word": list(word), "k": k}
@@ -306,7 +248,7 @@ def cmd_profiles(args):
         doc["capped_image"] = {
             p.symbol(): c for p, c in sorted(img.as_dict().items(), key=lambda t: t[0].symbol())
         }
-    _emit(doc, cfg, started)
+    _emit(doc, args, started)
     return 0
 
 
@@ -320,29 +262,22 @@ def cmd_gen(args):
     elif args.family == "sat":
         if args.cnf is None:
             raise ValueError("sat family requires --cnf FILE (DIMACS-like)")
-        if args.cnf == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.cnf) as fh:
-                text = fh.read()
-        spec = gen_sat_instance(parse_cnf(text))
+        spec = gen_sat_instance(parse_cnf(_read_text(args.cnf)))
     else:
         spec = gen_random(args.seed, args.states, args.alphabet_size, args.density)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot_export(spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2]))
+        _write_dot(args.dot, spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2])
     sys.stdout.write(serialize_spec(spec))
     return 0
 
 
 def cmd_oracle(args):
     started = time.monotonic()
-    cfg = _config(args)
-    spec = _read_spec(args.spec)
-    if cfg.k is None or cfg.d is None:
+    spec = parse_spec(_read_text(args.spec))
+    if args.k is None or args.d is None:
         raise ValueError("oracle requires --k and --d")
-    status = exact_fixed_oracle(spec, cfg.k, cfg.d, cfg.state_budget)
-    _emit({"problem": "fixed", "status": status, "k": cfg.k, "d": cfg.d}, cfg, started)
+    status = exact_fixed_oracle(spec, args.k, args.d, args.state_budget)
+    _emit({"problem": "fixed", "status": status, "k": args.k, "d": args.d}, args, started)
     return EXIT_SEPARABLE if status == "separable" else EXIT_INSEPARABLE
 
 
@@ -350,20 +285,22 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="ltsep")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", help="decide LT/LTT/fixed separability")
-    _add_common(p)
-    _add_decision(p)
-    p.set_defaults(run=cmd_decide)
-
-    p = sub.add_parser("witness", help="decide and emit an inseparability witness")
-    _add_common(p)
-    _add_decision(p)
-    p.set_defaults(run=cmd_witness)
-
-    p = sub.add_parser("separator", help="decide and emit the separator")
-    _add_common(p)
-    _add_decision(p)
-    p.set_defaults(run=cmd_separator)
+    for name, help_text in (
+        ("decide", "decide LT/LTT/fixed separability"),
+        ("witness", "decide and emit an inseparability witness"),
+        ("separator", "decide and emit the separator"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.add_argument("--class", dest="cls", choices=("lt", "ltt", "fixed"), default="ltt")
+        _add_kd(p)
+        p.add_argument("--emit-separator", action="store_true")
+        p.add_argument("--pump-width", type=_positive, default=1, metavar="L")
+        p.add_argument(
+            "--solver-cap", type=_positive, default=separ.EngineConfig.solver_cap
+        )
+        _add_state_budget(p)
+        p.set_defaults(run=cmd_decision)
 
     p = sub.add_parser("reduce", help="print the width-1 reduced spec")
     _add_common(p)
@@ -376,8 +313,7 @@ def _build_parser():
     p = sub.add_parser("profiles", help="print the profiles of a word")
     _add_common(p, need_spec=False)
     p.add_argument("word", help="space-separated word, e.g. 'a b a'")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
+    _add_kd(p)
     p.set_defaults(run=cmd_profiles)
 
     p = sub.add_parser("gen", help="generate example specs")
@@ -395,9 +331,8 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="exact fixed-(k,d) signature oracle")
     _add_common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--state-budget", type=int, default=500_000)
+    _add_kd(p)
+    _add_state_budget(p)
     p.set_defaults(run=cmd_oracle)
 
     return top

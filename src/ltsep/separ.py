@@ -42,11 +42,11 @@ PROBE_SCHEDULE = ((1, 1), (1, 2), (2, 1))
 
 @dataclass
 class EngineConfig:
-    """Budgets for the decision pipelines."""
+    """Budgets for the decision pipelines: states for profile annotation and
+    signature enumeration, and the solver's box cap."""
 
-    annot_budget: int = 200_000
+    state_budget: int = 500_000
     solver_cap: int = 100_000
-    signature_budget: int = 500_000
 
 
 def _cfg(cfg):
@@ -90,7 +90,7 @@ class Verdict:
     certificate: object = None  # PumpCertificate | None
     flags: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
-    _replay: object = None  # internal closure for certificate replay
+    _replay: object = None  # LTT: replays the certificate's pattern at d
 
     @property
     def status(self):
@@ -103,7 +103,7 @@ class Verdict:
 
 def annotated_side(spec, which, k, cfg=None):
     i, f = (spec.i1, spec.f1) if which == 1 else (spec.i2, spec.f2)
-    ann = annotate(spec.nfa, i, f, k, _cfg(cfg).annot_budget)
+    ann = annotate(spec.nfa, i, f, k, _cfg(cfg).state_budget)
     return ann, pk.flow_system(ann.nfa, ann.i, ann.f)
 
 
@@ -166,12 +166,10 @@ def _decide_full(spec, cfg, problem, settle):
     cfg = _cfg(cfg)
     common = _intersection_witness(spec)
     if common is not None:
-        word = tuple(common)
         return Verdict(
             problem, False, 1, "limit" if problem == "ltt" else 1,
-            witness=DPattern(word=word, d=1, origin=spec),
+            witness=DPattern(word=tuple(common), d=1, origin=spec),
             notes={"reason": "nonempty intersection"},
-            _replay=lambda d, ell=1: (word, word),
         )
     try:
         red = build_reduced(spec)
@@ -191,7 +189,6 @@ def _settle_lt(spec, red, cfg, sys1, sys2, letters):
             "lt", False, 1, 1,
             witness=pat,
             notes={"pumped_pair": pump_pattern(pat, 1, 1)},
-            _replay=lambda d, ell=1: pump_pattern(pat, ell, 1),
         )
     if res.status == pk.UNSAT and res.certain:
         # report the direct width k = 4*(monoid size + 1) when within budget
@@ -262,7 +259,7 @@ def _sig_probe(spec, k, d, cfg):
     """
     try:
         targets = language_signatures(
-            spec.nfa, spec.i1, spec.f1, k, d, cfg.signature_budget
+            spec.nfa, spec.i1, spec.f1, k, d, cfg.state_budget
         )
     except AnnotationBudgetError:
         return None
@@ -276,7 +273,7 @@ def _sig_probe(spec, k, d, cfg):
 
     fset = set(spec.f2)
     walk = window_walk(
-        out_edges(spec.nfa), spec.i2, k, d, cfg.signature_budget, compat
+        out_edges(spec.nfa), spec.i2, k, d, cfg.state_budget, compat
     )
     try:
         for _src, _a, (q, buf, counts, fill), new in walk:
@@ -326,16 +323,11 @@ def _fallback(spec, cfg, problem):
     if res.status == pk.SAT:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)
-
-        def pattern(d):
-            return decode_pattern(pool, r1, r2, d)
-
         return Verdict(
             problem, False, 1, "limit" if problem == "ltt" else 1,
-            witness=pattern(1),
+            witness=decode_pattern(pool, r1, r2, 1),
             flags=flags,
             notes={"via": "exact-match-pool"},
-            _replay=lambda d, ell=1: pump_pattern(pattern(d), ell, d),
         )
     for (k, d) in schedule[1:]:
         v = probe_verdict(k, d)
@@ -345,10 +337,16 @@ def _fallback(spec, cfg, problem):
 
 
 def replay_witness(verdict, d, ell=1):
-    """Pump an inseparability verdict into a pair equivalent at (ell, d)."""
-    if verdict._replay is None:
+    """Pump an inseparability verdict into a pair equivalent at (ell, d).
+
+    Raises ValueError when the verdict has no pattern, or when the pumped
+    pair fails its check (an LT pattern need not pump at d >= 2).
+    """
+    if verdict._replay is not None:
+        return verdict._replay(d, ell)
+    if not isinstance(verdict.witness, DPattern):
         raise ValueError("verdict has no replayable witness")
-    return verdict._replay(d, ell)
+    return pump_pattern(verdict.witness, ell, d)
 
 
 def separator_membership(handle, w):

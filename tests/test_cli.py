@@ -8,16 +8,16 @@ import sys
 import pytest
 
 import ltsep
+from ltsep import separ
 from ltsep.automata import parse_spec, serialize_spec
 from ltsep.cli import (
     EXIT_ERROR,
     EXIT_INSEPARABLE,
     EXIT_SEPARABLE,
     EXIT_UNKNOWN,
-    RunConfig,
     main,
 )
-from ltsep.testkit import gen_parity, gen_random
+from ltsep.testkit import gen_parity, gen_random, gen_threshold_family
 
 
 @pytest.fixture
@@ -45,21 +45,46 @@ def _json_out(capsys):
     return json.loads(out[-1])
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(k=0)
-        with pytest.raises(ValueError):
-            RunConfig(d=0)
-        with pytest.raises(ValueError):
-            RunConfig(pump_width=0)
+class TestOptions:
+    def test_validation(self, parity_file, capsys):
+        # a value below 1 exits 3 on every subcommand that has the option,
+        # while the same command with valid values does not
+        valid_values = {
+            "--k": "1", "--d": "1", "--pump-width": "1",
+            "--solver-cap": "1000", "--state-budget": "1000",
+        }
+        every = tuple(valid_values)
+        for command, opts in (
+            ("decide", every),
+            ("witness", every),
+            ("separator", every),
+            ("profiles", ("--k", "--d")),
+            ("oracle", ("--k", "--d", "--state-budget")),
+        ):
+            head = [command, "a b" if command == "profiles" else parity_file]
+            valid = {opt: valid_values[opt] for opt in opts}
+            assert main(head + [t for kv in valid.items() for t in kv]) != EXIT_ERROR
+            for opt in opts:
+                argv = head + [t for kv in dict(valid, **{opt: "0"}).items() for t in kv]
+                capsys.readouterr()
+                assert main(argv) == EXIT_ERROR, (command, opt)
+                assert opt in capsys.readouterr().err, (command, opt)
 
-    def test_engine_budgets(self):
-        cfg = RunConfig(solver_cap=123, state_budget=456)
-        eng = cfg.engine()
-        assert eng.solver_cap == 123
-        assert eng.annot_budget == 456
-        assert eng.signature_budget == 456
+    def test_engine_budgets(self, parity_file, monkeypatch):
+        seen = []
+
+        def decide_ltt(spec, cfg=None):
+            seen.append(cfg)
+            return separ.Verdict("ltt", None)
+
+        monkeypatch.setattr(separ, "decide_ltt", decide_ltt)
+        argv = ["decide", parity_file, "--solver-cap", "123", "--state-budget", "456"]
+        assert main(argv) == EXIT_UNKNOWN
+        assert main(["decide", parity_file]) == EXIT_UNKNOWN
+        assert seen == [
+            separ.EngineConfig(state_budget=456, solver_cap=123),
+            separ.EngineConfig(),
+        ]
 
 
 class TestDecide:
@@ -151,6 +176,43 @@ class TestWitnessAndSeparator:
         assert code == EXIT_INSEPARABLE
         assert _json_out(capsys)["separator"] is None
 
+    def test_decide_is_witness_plus_separator(self, parity_file, fork_file, tmp_path, capsys):
+        # the three decision commands report one decision: decide with an
+        # explicit separator shows what witness and separator show together
+        paths = [parity_file, fork_file]
+        for n, spec in enumerate(
+            (gen_threshold_family(1), gen_random(365, 3, 2, 0.3), gen_random(7, 3, 2, 0.35))
+        ):
+            path = tmp_path / ("spec%d.txt" % n)
+            path.write_text(serialize_spec(spec))
+            paths.append(str(path))
+        for path in paths:
+            for opts in (["--class", "ltt"], ["--class", "lt"],
+                         ["--class", "fixed", "--k", "1", "--d", "1"]):
+                docs, codes = {}, set()
+                for command in ("decide", "witness", "separator"):
+                    extra = ["--emit-separator"] if command == "decide" else []
+                    codes.add(main([command, path, "--json", "--no-timing"] + opts + extra))
+                    docs[command] = _json_out(capsys)
+                assert len(codes) == 1, (path, opts)
+                want = dict(docs["witness"])
+                if docs["decide"]["status"] == "separable":
+                    want["separator"] = docs["separator"]["separator"]
+                assert docs["decide"] == want, (path, opts)
+                verdict = {k: v for k, v in want.items() if k not in ("witness", "separator")}
+                assert {k: v for k, v in docs["separator"].items() if k != "separator"} == verdict
+
+    def test_lt_witness_that_fails_replay_is_not_printed(self, tmp_path, capsys):
+        # the LT pattern of this spec does not pump to a pair equivalent at
+        # (1, 2); the verdict stands but no unchecked pair is printed
+        path = tmp_path / "s365.txt"
+        path.write_text(serialize_spec(gen_random(365, 3, 2, 0.3)))
+        code = main(["witness", str(path), "--class", "lt", "--d", "2", "--json"])
+        assert code == EXIT_INSEPARABLE
+        doc = _json_out(capsys)
+        assert doc["witness"] is None
+        assert doc["witness_error"].startswith("witness replay failed")
+
 
 class TestOtherCommands:
     def test_reduce_round_trips(self, parity_file, capsys):
@@ -165,6 +227,35 @@ class TestOtherCommands:
         assert doc["k"] == 12
         assert doc["d_from_monoid"] == str(147 ** 49)
         assert doc["d_from_alphabet"] == str(98 ** 49)
+
+    def test_bounds_too_long_to_print(self, fork_file, tmp_path, capsys):
+        # the fork spec's 4 monoid elements give width 20 and 2047^2 = 4190209
+        # profiles over {a, b}, so its bounds have tens of millions of digits;
+        # the 9,877 elements of the second give width 39,512, where the
+        # profile count alone has about 11,900 digits.  Neither is ever built.
+        big = tmp_path / "big.txt"
+        big.write_text(serialize_spec(gen_random(38, 9, 2, 0.2)))
+        p = "num_profiles(39512,2)"
+        for path, size, k, d_from_monoid, d_from_alphabet in (
+            (fork_file, 4, 20, "(4190209*5)^4190209", "(4190209*3)^4190209"),
+            (str(big), 9877, 39512, "(%s*9878)^%s" % (p, p), "(%s*3)^%s" % (p, p)),
+        ):
+            assert main(["bounds", path, "--json"]) == 0
+            doc = _json_out(capsys)
+            assert (doc["monoid_size"], doc["k"]) == (size, k)
+            assert doc["d_from_monoid"] == d_from_monoid
+            assert doc["d_from_alphabet"] == d_from_alphabet
+
+    def test_bounds_decimal_up_to_digit_limit(self, parity_file, capsys, monkeypatch):
+        # parity has 49 profiles at k = 12, and 147^49 has 107 decimal digits
+        for limit, want in (
+            (107, str(147 ** 49)),
+            (106, "(49*3)^49"),
+            (1, "(num_profiles(12,1)*3)^num_profiles(12,1)"),
+        ):
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+            assert main(["bounds", parity_file, "--json"]) == 0
+            assert _json_out(capsys)["d_from_monoid"] == want
 
     def test_profiles_windows(self, capsys):
         word = "b a c c c a a b c b a a b b a"

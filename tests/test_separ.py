@@ -133,6 +133,20 @@ class TestDecideFull:
         with pytest.raises(ValueError):
             replay_witness(v, 1)
 
+    def test_lt_replay_checks_threshold(self):
+        # an LT pattern promises equivalence at threshold 1 only; pumped for
+        # d = 2 it must either pass the (1, 2) check or raise
+        spec = gen_random(365, 3, 2, 0.3)
+        v = decide_lt(spec)
+        assert v.separable is False and v.witness.word is None
+        try:
+            w1, w2 = replay_witness(v, 2)
+        except ValueError:
+            return
+        assert accepts(spec.nfa, spec.i1, spec.f1, w1)
+        assert accepts(spec.nfa, spec.i2, spec.f2, w2)
+        assert equivalent(w1, w2, 1, 2)
+
     def test_fallback_on_large_instances(self):
         # these encodings exceed the pair-set enumeration budget, forcing
         # the probe/pool fallback; verdicts must still match brute-force SAT
@@ -218,7 +232,7 @@ class TestSigProbe:
                 assert _sig_probe(spec, k, d, EngineConfig()) is separable, (seed, k, d)
 
     def test_budget_gives_none(self):
-        assert _sig_probe(gen_parity(), 2, 1, EngineConfig(signature_budget=1)) is None
+        assert _sig_probe(gen_parity(), 2, 1, EngineConfig(state_budget=1)) is None
 
 
 class TestEngineConfig:
