@@ -40,6 +40,9 @@ def _add_common(p, need_spec=True):
         p.add_argument("spec", help="spec file path, or - for stdin")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--no-timing", action="store_true")
+
+
+def _add_dot(p):
     p.add_argument("--dot", metavar="FILE", help="write the relevant automaton as DOT")
 
 
@@ -294,7 +297,12 @@ def _build_parser():
         _add_common(p)
         p.add_argument("--class", dest="cls", choices=("lt", "ltt", "fixed"), default="ltt")
         _add_kd(p)
-        p.add_argument("--emit-separator", action="store_true")
+        if name == "witness":
+            # a witness report writes neither a separator nor an automaton
+            p.set_defaults(dot=None, emit_separator=False)
+        else:
+            _add_dot(p)
+            p.add_argument("--emit-separator", action="store_true")
         p.add_argument("--pump-width", type=_positive, default=1, metavar="L")
         p.add_argument(
             "--solver-cap", type=_positive, default=separ.EngineConfig.solver_cap
@@ -304,6 +312,7 @@ def _build_parser():
 
     p = sub.add_parser("reduce", help="print the width-1 reduced spec")
     _add_common(p)
+    _add_dot(p)
     p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("bounds", help="print monoid size and width/threshold bounds")
@@ -326,7 +335,7 @@ def _build_parser():
     p.add_argument("--states", type=int, default=4)
     p.add_argument("--alphabet-size", type=int, default=2)
     p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--dot", metavar="FILE")
+    _add_dot(p)
     p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("oracle", help="exact fixed-(k,d) signature oracle")

@@ -1,33 +1,50 @@
 """Reduction of LT/LTT separation to window width 1.
 
-Letters of the reduced automaton are synchronizable sets of state pairs: a set
-T of pairs realizable by one common middle word, optionally with a shared
-nonempty loop word at all left states and/or all right states.  Words of the
+In the paper's terms an inseparability pattern is a row of blocks, each a
+word triple (loop, middle, loop), where consecutive blocks share their loop
+word and both languages run the same blocks, counted equally up to the
+threshold.  The reduced alphabet has one letter per block class, read off the
+transition semigroup of the useful part (`monoid.transition_semigroup`,
+whose elements carry shortlex-least words):
+
+- a loop label D is the nonempty diagonal of an idempotent element, and its
+  loop word is the word of the first element whose diagonal holds D;
+- a middle is an element s, or the identity with the empty word;
+- the letter (kind, D_l, s, D_r) carries the pairs (p, q) of s with p on D_l
+  and q on D_r.  A prefix letter ('p') takes p in I instead of p on D_l, a
+  suffix letter ('s') q in F instead of q on D_r, a weak letter ('w') both.
+
+A reduced state ("rs", q, D) is state q at loop label D, so consecutive
+letters meet exactly when their blocks share a loop word.  Words of the
 reduced automaton have the shape (weak) or (prefix)(infix)*(suffix); matched
 word pairs decode into a common threshold pattern over the original alphabet
-(prefix block, counted middle blocks, suffix block) which pumps into concrete
-word pairs that are profile-equivalent at any requested width.
+that pumps into word pairs profile-equivalent at any requested width.
 
-Synchronizable sets are read off the transition semigroup of the useful part
-(`monoid.transition_semigroup`), whose elements carry shortlex-least words: a
-pair set's middle word is () when every pair is diagonal, otherwise the word of
-the first element whose relation holds every pair; a state set's loop is the
-word of the first element whose diagonal holds every state.  A run between
-useful states visits only useful states, so the restriction loses no word.
-Loops need the semigroup, not the monoid: in the parity pair the loop at {0}
-is aa, and aa acts as the identity.
+Why the labels lose no pattern.  Take a pattern and a loop word v of it,
+looping at the states X where the two runs use it.  Some power of v is
+idempotent, and an element's idempotent power has a diagonal at least as
+large as the element's own, so the label D of that power holds X.  Put D's
+loop word in place of v, and each middle's shortlex word in place of the
+middle: every run still goes through, since a larger label only adds pairs.
+Blocks that were equal stay equal; blocks that become equal add their counts,
+and threshold equality (equal, or both >= d) is preserved by addition.  A run
+between useful states visits only useful states, so restricting to them
+loses no word.  Loops need the semigroup, not the monoid: in the parity pair
+the loop at {0, 1} is aa, and aa acts as the identity.
 """
 
 from dataclasses import dataclass
-from collections import deque
-from itertools import combinations
 
 from .automata import Nfa, LangSpec, accepts, reachable, coreachable
-from .monoid import MonoidBudgetError, transition_semigroup
+from .monoid import MonoidBudgetError, mat_mul, transition_semigroup
+
+# the most useful state pairs the complete reduction takes; past it the
+# engine falls back to probes and the pool
+USEFUL_PAIR_BUDGET = 13
 
 
 class SyncBudgetError(RuntimeError):
-    """Candidate enumeration or the transition semigroup exceeded its budget."""
+    """The useful pairs or the transition semigroup exceeded their budget."""
 
 
 def common_mid(covers, pairs):
@@ -39,21 +56,27 @@ def common_mid(covers, pairs):
     return next((w for rel, w in covers if pairs <= rel), None)
 
 
+def _label(states):
+    return "[%s]" % ",".join(str(q) for q in sorted(states))
+
+
 @dataclass(frozen=True)
 class SyncSet:
-    """One letter of the reduced alphabet."""
+    """One letter of the reduced alphabet: a middle with its loop labels."""
 
     pairs: frozenset
     kind: str  # 'w' | 'p' | 'i' | 's'
     witness_mid: tuple
     witness_left: object  # tuple | None
     witness_right: object  # tuple | None
-    left_set: frozenset  # loop-state label used on the left, when applicable
-    right_set: frozenset
+    left_set: object  # loop label D_l: frozenset, or None for 'w' and 'p'
+    right_set: object  # loop label D_r: frozenset, or None for 'w' and 's'
 
     def name(self):
         body = ",".join("(%d,%d)" % pq for pq in sorted(self.pairs))
-        return "%s:{%s}" % (self.kind, body)
+        left = "" if self.left_set is None else _label(self.left_set)
+        right = "" if self.right_set is None else _label(self.right_set)
+        return "%s:%s{%s}%s" % (self.kind, left, body, right)
 
 
 @dataclass
@@ -66,7 +89,6 @@ class ReducedSpec:
     i2: frozenset
     f2: frozenset
     catalog: dict  # letter symbol -> SyncSet
-    loop_witness: dict  # frozenset(states) -> loop word
     origin: LangSpec
     state_tags: list
 
@@ -74,44 +96,53 @@ class ReducedSpec:
         return LangSpec(self.nfa, self.i1, self.f1, self.i2, self.f2)
 
 
-def sync_sets(nfa, i1, f1, i2, f2, candidate_budget=8192):
-    """Enumerate synchronizable pair sets over the useful part of the automaton.
+def _blocks(loops, mids, i_all, f_all):
+    """The letters over loop labels and middles, first middle first.
 
-    Returns (catalog: list of SyncSet, loop_witness dict).  Pairs are
-    restricted to (p, q) with p reachable from I1 ∪ I2 and q co-reachable to
-    F1 ∪ F2; a single pair's middle word is its shortest labelled path.  After
-    the candidate budget check, the semigroup of the useful part is built once
-    and answers the rest by lookup (see the module docstring): a pair set's
-    middle word is () when every pair is diagonal, else the word of the first
-    element holding every pair, and the set is dropped if none does; a state
-    set's loop is the word of the first element whose diagonal holds every
-    state.  Past either budget, SyncBudgetError.
+    loops maps each loop label to its loop word; mids lists (relation, word).
+    A letter keeps the pairs of its middle whose left state lies on D_l (in
+    i_all for 'p' and 'w') and whose right state lies on D_r (in f_all for
+    's' and 'w'); letters without pairs, and repeats of one kind, pair set
+    and labels under a later middle, are dropped.
     """
-    fwd = reachable(nfa, set(i1) | set(i2))
-    bwd = coreachable(nfa, set(f1) | set(f2))
-    succ = {}
-    for (p, a, q) in sorted(nfa.transitions):
-        succ.setdefault(p, []).append((a, q))
-    pair_lang = {}
+    ends = [("w", None, None)]
+    ends += [("p", None, dr) for dr in loops]
+    ends += [("s", dl, None) for dl in loops]
+    ends += [("i", dl, dr) for dl in loops for dr in loops]
+    catalog, seen = [], set()
+    for rel, mid in mids:
+        for kind, dl, dr in ends:
+            lefts = i_all if dl is None else dl
+            rights = f_all if dr is None else dr
+            pairs = frozenset((p, q) for (p, q) in rel if p in lefts and q in rights)
+            if pairs and (kind, pairs, dl, dr) not in seen:
+                seen.add((kind, pairs, dl, dr))
+                catalog.append(
+                    SyncSet(pairs, kind, mid, loops.get(dl), loops.get(dr), dl, dr)
+                )
+    return catalog
+
+
+def sync_sets(nfa, i1, f1, i2, f2):
+    """The reduced alphabet of the complete reduction, and its loop words.
+
+    Returns (catalog: list of SyncSet, loop label -> loop word).  Loop labels
+    are the distinct nonempty diagonals of the idempotent elements of the
+    semigroup of the useful part, and middles are the identity, then its
+    elements (see the module docstring).  Past USEFUL_PAIR_BUDGET pairs
+    (p, q) with p reachable from I1 ∪ I2, q co-reachable to F1 ∪ F2 and a
+    run p -> q, or past the semigroup budget, SyncBudgetError.
+    """
+    i_all, f_all = set(i1) | set(i2), set(f1) | set(f2)
+    fwd = reachable(nfa, i_all)
+    bwd = coreachable(nfa, f_all)
+    n_pairs = 0
     for p in sorted(fwd):
-        # shortest labelled path from p to each state: one BFS per source
-        word_to = {p: ()}
-        queue = deque([p])
-        while queue:
-            r = queue.popleft()
-            for (a, q) in succ.get(r, ()):
-                if q not in word_to:
-                    word_to[q] = word_to[r] + (a,)
-                    queue.append(q)
-        for q, u in word_to.items():
-            if q in bwd:
-                pair_lang[(p, q)] = u
-    pairs_all = sorted(pair_lang)
-    if 2 ** len(pairs_all) > candidate_budget:
-        raise SyncBudgetError(
-            "2^%d candidate pair-sets exceed budget %d; reduce the input"
-            % (len(pairs_all), candidate_budget)
-        )
+        n_pairs += len(reachable(nfa, {p}) & bwd)
+        if n_pairs > USEFUL_PAIR_BUDGET:
+            raise SyncBudgetError(
+                "over %d useful state pairs; reduce the input" % USEFUL_PAIR_BUDGET
+            )
     useful = fwd & bwd
     inner = Nfa(nfa.n_states, nfa.alphabet, frozenset(
         t for t in nfa.transitions if t[0] in useful and t[2] in useful
@@ -125,46 +156,22 @@ def sync_sets(nfa, i1, f1, i2, f2, candidate_budget=8192):
         for m, w in zip(semigroup.elements, semigroup.words)
     ]
     loops = {}
-
-    def loop_of(states):
-        if states not in loops:
-            loops[states] = common_mid(covers, frozenset((q, q) for q in states))
-        return loops[states]
-
-    catalog = []
-    for size in range(1, len(pairs_all) + 1):
-        for combo in combinations(pairs_all, size):
-            t = frozenset(combo)
-            if size == 1:
-                mid = pair_lang[combo[0]]
-            elif all(p == q for (p, q) in combo):
-                mid = ()
-            else:
-                mid = common_mid(covers, t)
-            if mid is None:
-                continue
-            lefts = frozenset(p for (p, _q) in combo)
-            rights = frozenset(q for (_p, q) in combo)
-            vl = loop_of(lefts)
-            vr = loop_of(rights)
-            catalog.append(SyncSet(t, "w", mid, None, None, lefts, rights))
-            if vr is not None:
-                catalog.append(SyncSet(t, "p", mid, None, vr, lefts, rights))
-            if vl is not None:
-                catalog.append(SyncSet(t, "s", mid, vl, None, lefts, rights))
-            if vl is not None and vr is not None:
-                catalog.append(SyncSet(t, "i", mid, vl, vr, lefts, rights))
-    return catalog, {r: w for r, w in loops.items() if w is not None}
+    for m in semigroup.elements:
+        diagonal = frozenset(q for q in useful if m[q] >> q & 1)
+        if diagonal and diagonal not in loops and mat_mul(m, m) == m:
+            loops[diagonal] = common_mid(covers, frozenset((q, q) for q in diagonal))
+    identity = (frozenset((q, q) for q in useful), ())
+    return _blocks(loops, [identity] + covers, i_all, f_all), loops
 
 
-def _assemble(spec, catalog, loops):
+def _assemble(spec, catalog):
     """Wire the reduced automaton from a letter catalog.
 
     Entry and exit copies of the original initial/final states are kept apart
-    so every accepted word has the weak / prefix-infix*-suffix shape.
+    so every accepted word has the weak / prefix-infix*-suffix shape; a weak
+    pair is kept only when it runs from I to F of one side.
     """
-    i_all = set(spec.i1) | set(spec.i2)
-    f_all = set(spec.f1) | set(spec.f2)
+    sides = ((spec.i1, spec.f1), (spec.i2, spec.f2))
     state_ix = {}
     tags = []
 
@@ -174,146 +181,78 @@ def _assemble(spec, catalog, loops):
             tags.append(tag)
         return state_ix[tag]
 
-    for q in sorted(i_all):
+    for q in sorted(set(spec.i1) | set(spec.i2)):
         st(("in", q))
-    for q in sorted(f_all):
+    for q in sorted(set(spec.f1) | set(spec.f2)):
         st(("out", q))
     transitions = set()
     used = {}
     for b in catalog:
         sym = b.name()
-        added = False
-        if b.kind == "w":
-            for (p, q) in sorted(b.pairs):
-                for (iset, fset) in ((spec.i1, spec.f1), (spec.i2, spec.f2)):
-                    if p in iset and q in fset:
-                        transitions.add((st(("in", p)), sym, st(("out", q))))
-                        added = True
-        elif b.kind == "p":
-            for (p, q) in sorted(b.pairs):
-                if p in i_all:
-                    transitions.add(
-                        (st(("in", p)), sym, st(("rs", q, b.right_set)))
-                    )
-                    added = True
-        elif b.kind == "s":
-            for (p, q) in sorted(b.pairs):
-                if q in f_all and p in b.left_set:
-                    transitions.add(
-                        (st(("rs", p, b.left_set)), sym, st(("out", q)))
-                    )
-                    added = True
-        elif b.kind == "i":
-            for (p, q) in sorted(b.pairs):
-                if p in b.left_set:
-                    transitions.add(
-                        (st(("rs", p, b.left_set)), sym, st(("rs", q, b.right_set)))
-                    )
-                    added = True
-        if added:
+        for (p, q) in sorted(b.pairs):
+            if b.kind == "w" and not any(p in i and q in f for i, f in sides):
+                continue
+            src = ("in", p) if b.left_set is None else ("rs", p, b.left_set)
+            dst = ("out", q) if b.right_set is None else ("rs", q, b.right_set)
+            transitions.add((st(src), sym, st(dst)))
             used[sym] = b
     nfa = Nfa(len(tags), tuple(sorted(used)), frozenset(transitions))
     i1 = frozenset(state_ix[("in", q)] for q in spec.i1)
     i2 = frozenset(state_ix[("in", q)] for q in spec.i2)
     f1 = frozenset(state_ix[("out", q)] for q in spec.f1)
     f2 = frozenset(state_ix[("out", q)] for q in spec.f2)
-    return ReducedSpec(nfa, i1, f1, i2, f2, used, dict(loops), spec, tags)
+    return ReducedSpec(nfa, i1, f1, i2, f2, used, spec, tags)
 
 
-def build_reduced(spec, candidate_budget=8192):
-    """The full reduced automaton over all synchronizable pair sets."""
-    catalog, loops = sync_sets(
-        spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2, candidate_budget
-    )
-    return _assemble(spec, catalog, loops)
+def build_reduced(spec):
+    """The reduced automaton of the complete reduction."""
+    catalog, _loops = sync_sets(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+    return _assemble(spec, catalog)
 
 
 def build_reduced_pool(spec, max_letters=4000):
     """A partial reduced automaton from single-letter loop synchronization.
 
-    For large inputs the full pair-set enumeration is hopeless; this variant
-    only materializes letters whose middle word has length <= 1 and whose
-    loop labels are single self-loop letters shared by whole state sets
-    R_g = {q | g self-loops at q}.  Sound for inseparability certificates
+    For inputs past the budget of the complete reduction: loop labels are
+    the sets R_g = {q | g self-loops at q} of single letters g, named by the
+    least such g, and middles are single letters and the empty word.  Only
+    letters both sides can traverse are kept, the largest pair sets first,
+    at most max_letters of them.  Sound for inseparability certificates
     (every letter still decodes to a valid pattern block); incomplete.
     """
     nfa = spec.nfa
-    fwd = reachable(nfa, set(spec.i1) | set(spec.i2))
-    bwd = coreachable(nfa, set(spec.f1) | set(spec.f2))
-    useful = fwd & bwd
-    use1 = reachable(nfa, spec.i1) & coreachable(nfa, spec.f1)
-    use2 = reachable(nfa, spec.i2) & coreachable(nfa, spec.f2)
-    self_loops = {}
-    for (p, a, q) in nfa.transitions:
-        if p == q and p in useful:
-            self_loops.setdefault(p, set()).add(a)
-    ring = {}  # loop letter g -> frozenset R_g
-    for q, syms in self_loops.items():
-        for g in syms:
-            ring.setdefault(g, set()).add(q)
-    ring = {g: frozenset(s) for g, s in ring.items()}
     i_all = set(spec.i1) | set(spec.i2)
     f_all = set(spec.f1) | set(spec.f2)
-
-    # gather pairs per letter key
-    buckets = {}
-
-    def put(key, pair):
-        buckets.setdefault(key, set()).add(pair)
-
-    arcs = [
-        (p, (a,), q)
-        for (p, a, q) in sorted(nfa.transitions)
-        if p in useful and q in useful
-    ]
-    arcs += [(q, (), q) for q in sorted(useful)]
-    for (p, mid, q) in arcs:
-        for gl in sorted(self_loops.get(p, ())):
-            for gr in sorted(self_loops.get(q, ())):
-                put(("i", mid, gl, gr), (p, q))
-        if p in i_all:
-            for gr in sorted(self_loops.get(q, ())):
-                put(("p", mid, gr), (p, q))
-        if q in f_all:
-            for gl in sorted(self_loops.get(p, ())):
-                put(("s", mid, gl), (p, q))
-    catalog = []
+    useful = reachable(nfa, i_all) & coreachable(nfa, f_all)
+    use1 = reachable(nfa, spec.i1) & coreachable(nfa, spec.f1)
+    use2 = reachable(nfa, spec.i2) & coreachable(nfa, spec.f2)
+    ring = {}  # loop letter g -> R_g
+    rel = {}  # middle letter a -> its useful pairs
+    for (p, a, q) in nfa.transitions:
+        if p in useful and q in useful:
+            rel.setdefault(a, set()).add((p, q))
+            if p == q:
+                ring.setdefault(a, set()).add(q)
     loops = {}
     for g in sorted(ring):
-        # letters looping at the same states: the least one names the loop
-        loops.setdefault(ring[g], (g,))
-    for key in sorted(buckets):
-        pairs = buckets[key]
-        kind, mid = key[0], key[1]
-        # a letter is usable for matching only if both sides can traverse it
-        if kind == "i":
-            gl, gr = key[2], key[3]
-            ok1 = any(p in use1 and q in use1 for (p, q) in pairs)
-            ok2 = any(p in use2 and q in use2 for (p, q) in pairs)
-            left_set, right_set = ring[gl], ring[gr]
-            vl, vr = loops[left_set], loops[right_set]
-        elif kind == "p":
-            gr = key[2]
-            ok1 = any(p in spec.i1 for (p, _q) in pairs)
-            ok2 = any(p in spec.i2 for (p, _q) in pairs)
-            left_set = frozenset(p for (p, _q) in pairs)
-            right_set = ring[gr]
-            vl, vr = None, loops[right_set]
-        else:
-            gl = key[2]
-            ok1 = any(q in spec.f1 for (_p, q) in pairs)
-            ok2 = any(q in spec.f2 for (_p, q) in pairs)
-            left_set = ring[gl]
-            right_set = frozenset(q for (_p, q) in pairs)
-            vl, vr = loops[left_set], None
-        if not (ok1 and ok2):
-            continue
-        catalog.append(
-            SyncSet(frozenset(pairs), kind, mid, vl, vr, left_set, right_set)
+        loops.setdefault(frozenset(ring[g]), (g,))
+    mids = [(frozenset((q, q) for q in useful), ())]
+    mids += [(frozenset(rel[a]), (a,)) for a in sorted(rel)]
+
+    def usable(b, i, f, use):
+        if b.kind == "i":
+            return any(p in use and q in use for (p, q) in b.pairs)
+        return any(
+            (b.kind == "s" or p in i) and (b.kind == "p" or q in f)
+            for (p, q) in b.pairs
         )
+
+    catalog = [
+        b for b in _blocks(loops, mids, i_all, f_all)
+        if usable(b, spec.i1, spec.f1, use1) and usable(b, spec.i2, spec.f2, use2)
+    ]
     catalog.sort(key=lambda b: (-len(b.pairs), b.name()))
-    catalog = catalog[:max_letters]
-    return _assemble(spec, catalog, loops)
+    return _assemble(spec, catalog[:max_letters])
 
 
 @dataclass
@@ -399,15 +338,13 @@ def decode_pattern(reduced, w1, w2, d):
     if w1[0] != w2[0] or w1[-1] != w2[-1]:
         raise ValueError("matched words must share prefix and suffix letters")
 
-    loops = reduced.loop_witness
-
     def block_of(sym):
         b = cat[sym]
-        return (loops[b.left_set], tuple(b.witness_mid), loops[b.right_set])
+        return (b.witness_left, tuple(b.witness_mid), b.witness_right)
 
     bp, bs = cat[w1[0]], cat[w1[-1]]
-    prefix_block = (tuple(bp.witness_mid), loops[bp.right_set])
-    suffix_block = (loops[bs.left_set], tuple(bs.witness_mid))
+    prefix_block = (tuple(bp.witness_mid), bp.witness_right)
+    suffix_block = (bs.witness_left, tuple(bs.witness_mid))
     counts = {}
     for sym in w1[1:-1]:
         blk = block_of(sym)
@@ -417,13 +354,10 @@ def decode_pattern(reduced, w1, w2, d):
     def decomp(syms, i, f):
         run = find_run(reduced.nfa, i, f, syms)
         tags = [reduced.state_tags[q] for q in run]
-        # tags: ('in', q0), ('rs', r, R)..., ('out', qf)
+        # tags: ('in', q0), ('rs', r, D)..., ('out', qf)
         states = [tags[0][1]] + [t[1] for t in tags[1:-1]] + [tags[-1][1]]
         u_segs = [tuple(cat[s].witness_mid) for s in syms]
-        v_segs = []
-        for j in range(1, len(syms)):
-            b = cat[syms[j]]
-            v_segs.append(loops[b.left_set])
+        v_segs = [cat[s].witness_left for s in syms[1:]]
         dec = Decomp(u_segs, v_segs, states)
         _verify_decomp(reduced.origin.nfa, dec)
         return dec

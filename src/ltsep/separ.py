@@ -285,7 +285,7 @@ def _sig_probe(spec, k, d, cfg):
 
 
 def _fallback(spec, cfg, problem):
-    """Bounded dual search for inputs too large for full set enumeration.
+    """Bounded dual search for inputs past the complete reduction's budget.
 
     Separability side: fixed-(k,d) probes on the original languages by exact
     signature enumeration (sound: a fixed-parameter separator is an LT/LTT

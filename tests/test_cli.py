@@ -70,6 +70,35 @@ class TestOptions:
                 assert main(argv) == EXIT_ERROR, (command, opt)
                 assert opt in capsys.readouterr().err, (command, opt)
 
+    @pytest.mark.parametrize("argv, opt", [
+        (["witness", "SPEC", "--dot", "DOT"], "--dot"),
+        (["witness", "SPEC", "--emit-separator"], "--emit-separator"),
+        (["bounds", "SPEC", "--dot", "DOT"], "--dot"),
+        (["profiles", "a b", "--dot", "DOT"], "--dot"),
+        (["oracle", "SPEC", "--k", "1", "--d", "1", "--dot", "DOT"], "--dot"),
+    ])
+    def test_unread_option_rejected(self, argv, opt, parity_file, tmp_path, capsys):
+        # an option is registered only where its subcommand reads it
+        dot = str(tmp_path / "out.dot")
+        argv = [{"SPEC": parity_file, "DOT": dot}.get(a, a) for a in argv]
+        assert main(argv) == EXIT_ERROR
+        assert opt in capsys.readouterr().err
+        assert not os.path.exists(dot)
+        assert main([a for a in argv if a not in (opt, dot)]) != EXIT_ERROR
+
+    def test_dot_written_where_read(self, parity_file, fork_file, tmp_path, capsys):
+        for n, argv in enumerate((
+            ["decide", parity_file],
+            ["decide", fork_file, "--emit-separator", "--class", "fixed",
+             "--k", "1", "--d", "1"],
+            ["separator", fork_file, "--class", "fixed", "--k", "1", "--d", "1"],
+            ["reduce", parity_file],
+            ["gen", "parity"],
+        )):
+            dot = tmp_path / ("out%d.dot" % n)
+            assert main(argv + ["--dot", str(dot)]) != EXIT_ERROR, argv
+            assert dot.read_text().startswith("digraph"), argv
+
     def test_engine_budgets(self, parity_file, monkeypatch):
         seen = []
 
@@ -203,22 +232,29 @@ class TestWitnessAndSeparator:
                 assert {k: v for k, v in docs["separator"].items() if k != "separator"} == verdict
 
     def test_lt_witness_that_fails_replay_is_not_printed(self, tmp_path, capsys):
-        # the LT pattern of this spec does not pump to a pair equivalent at
-        # (1, 2); the verdict stands but no unchecked pair is printed
-        path = tmp_path / "s365.txt"
-        path.write_text(serialize_spec(gen_random(365, 3, 2, 0.3)))
+        # one b against two: LT-inseparable, yet LTT-separable at threshold
+        # 2, so no LT pattern of it pumps to a pair equivalent at (1, 2); the
+        # verdict stands but no unchecked pair is printed
+        path = tmp_path / "one_vs_two_b.txt"
+        path.write_text(
+            "alphabet: a b\nstates: 3\n"
+            "trans: 0 a 0\ntrans: 0 b 1\ntrans: 1 a 1\ntrans: 1 b 2\ntrans: 2 a 2\n"
+            "I1: 0\nF1: 1\nI2: 0\nF2: 2\n"
+        )
         code = main(["witness", str(path), "--class", "lt", "--d", "2", "--json"])
         assert code == EXIT_INSEPARABLE
         doc = _json_out(capsys)
         assert doc["witness"] is None
         assert doc["witness_error"].startswith("witness replay failed")
+        assert main(["decide", str(path), "--class", "ltt", "--json"]) == EXIT_SEPARABLE
+        assert _json_out(capsys)["d"] == 2
 
 
 class TestOtherCommands:
     def test_reduce_round_trips(self, parity_file, capsys):
         assert main(["reduce", parity_file]) == 0
         red = parse_spec(capsys.readouterr().out)
-        assert "i:{(0,1),(1,0)}" in red.nfa.alphabet
+        assert "i:[0,1]{(0,1),(1,0)}[0,1]" in red.nfa.alphabet
 
     def test_bounds_parity(self, parity_file, capsys):
         assert main(["bounds", parity_file, "--json"]) == 0

@@ -53,32 +53,64 @@ class TestSynchronization:
     def test_common_loop(self):
         spec = gen_parity()
         _mids, loops = _catalog_of(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
-        # aa acts as the identity, yet a loop must be nonempty
-        assert loops[frozenset([0])] == ("a", "a")
-        assert loops[frozenset([0, 1])] == ("a", "a")
+        # a is no idempotent; aa is, and acts as the identity, yet a loop
+        # must be nonempty
+        assert loops == {frozenset([0, 1]): ("a", "a")}
         chain = Nfa(2, ("a",), frozenset([(0, "a", 1)]))
         ends = frozenset([0]), frozenset([1])
         mids, loops = _catalog_of(chain, *ends, *ends)
         assert mids[frozenset([(0, 1)])] == ("a",)
-        assert frozenset([0]) not in loops
+        # no element of the chain loops anywhere, so it has no loop label
+        assert loops == {}
 
     def test_sync_sets_parity(self):
         spec = gen_parity()
         catalog, loops = sync_sets(
             spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2
         )
-        names = {b.name() for b in catalog}
+        by_name = {b.name(): b for b in catalog}
         # the swap pair set is synchronizable with loops on both sides
-        assert "i:{(0,1),(1,0)}" in names
-        assert frozenset([0, 1]) in loops
+        swap = by_name["i:[0,1]{(0,1),(1,0)}[0,1]"]
+        assert swap.left_set == swap.right_set == frozenset([0, 1])
+        assert swap.witness_left == swap.witness_right == ("a", "a")
+        assert loops[frozenset([0, 1])] == ("a", "a")
 
-    def test_candidate_budget(self):
+    def test_candidate_budget(self, monkeypatch):
         spec = gen_random(1, 6, 2, 0.6)
+        monkeypatch.setattr(reduction, "USEFUL_PAIR_BUDGET", 1)
         with pytest.raises(SyncBudgetError):
-            sync_sets(
-                spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2,
-                candidate_budget=2,
-            )
+            sync_sets(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+        with pytest.raises(SyncBudgetError):
+            build_reduced(spec)
+        # parity has the four useful pairs of its two states
+        parity = gen_parity()
+        monkeypatch.setattr(reduction, "USEFUL_PAIR_BUDGET", 3)
+        with pytest.raises(SyncBudgetError, match="over 3 useful state pairs"):
+            build_reduced(parity)
+        monkeypatch.setattr(reduction, "USEFUL_PAIR_BUDGET", 4)
+        assert build_reduced(parity).nfa.alphabet
+
+    def test_letter_names_distinct(self, monkeypatch):
+        # a symbol names one letter: its kind, pairs and loop labels
+        seen = []
+        real_assemble = reduction._assemble
+
+        def assemble(spec, catalog):
+            seen.append([b.name() for b in catalog])
+            return real_assemble(spec, catalog)
+
+        monkeypatch.setattr(reduction, "_assemble", assemble)
+        specs = [gen_parity(), gen_random(1, 4, 2, 0.3)]
+        specs += [gen_random(s, 3, 2, 0.35) for s in range(6)]
+        for spec in specs:
+            try:
+                build_reduced(spec)
+            except SyncBudgetError:
+                pass
+            build_reduced_pool(spec)
+        assert len(seen) > len(specs) and sum(map(len, seen)) > 100
+        for names in seen:
+            assert len(set(names)) == len(names)
 
     def test_catalog_words_run(self):
         specs = [gen_parity()] + [gen_random(s, 3, 2, 0.35) for s in range(6)]
@@ -196,7 +228,8 @@ class TestPool:
             "from ltsep.reduction import build_reduced_pool\n"
             "from ltsep.testkit import gen_random\n"
             "pool = build_reduced_pool(gen_random(90018, 3, 3, 0.35))\n"
-            "print(pool.loop_witness[frozenset([1])])\n"
+            "print({b.left_set: b.witness_left for b in pool.catalog.values()}"
+            "[frozenset([1])])\n"
         )
         src = os.path.dirname(os.path.dirname(ltsep.__file__))
         outs = []

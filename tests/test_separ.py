@@ -119,7 +119,6 @@ class TestDecideFull:
                 assert accepts(spec.nfa, spec.i2, spec.f2, w2)
                 assert equivalent(w1, w2, ell, d)
 
-    @pytest.mark.xfail(strict=True, reason="the reduction path answers separable")
     def test_lt_one_versus_two_b_inseparable(self):
         # with n letters a around each b, windows of width k < n never see
         # two b's, so a^n b a^n and a^n b a^n b a^n agree at (k, 1)
@@ -127,6 +126,10 @@ class TestDecideFull:
         w2 = w1 + ("b",) + ("a",) * 25
         assert all(equivalent(w1, w2, k, 1) for k in range(1, 25))
         assert decide_lt(_one_versus_two_b()).separable is not True
+        # counting b's up to 2 tells one from two, and up to 1 does not
+        v = decide_ltt(_one_versus_two_b())
+        assert v.separable is True
+        assert v.notes["usable_threshold"] == 2
 
     def test_replay_requires_witness(self):
         v = decide_lt(_fork_spec())
