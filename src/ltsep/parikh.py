@@ -16,9 +16,20 @@ connected.  The one-sided membership query (feasible) adds a commodity flow
 up front (_add_support_reach) and solves once.  Integer feasibility itself
 is delegated to scipy's MILP interface; returned solutions are re-verified
 in exact integer arithmetic before use.
+
+Every model bounds its variables by a box, which is also the big-M of its
+threshold rows and cuts; HiGHS is far faster in a small box than in the
+100,000 `cap`.  match_fixed first solves in the box _fixed_bound: at a
+threshold d, a proven bound on the run length of some match when one
+exists; for an exact match, a first guess of twice the summed state
+count.  It keeps that answer when the box makes it final: UNSAT at a
+given threshold, or SAT whose minimum variable sum fits in the box, which
+is then the minimum of the cap model too.  Otherwise it solves again at
+cap.  feasible gets its box from its caller; match_limit solves at cap,
+since there an UNSAT answer in a small box settles nothing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -228,6 +239,7 @@ class _ConnReq:
     var_groups: list  # per edge: list of variables whose sum is the flow value
     src_vars: dict
     cap: int
+    comps: list = field(default_factory=list)  # every comp cut so far
 
     def violation(self, sol):
         """Return a set C of support states unreachable from the source, or None."""
@@ -259,6 +271,7 @@ class _ConnReq:
 
     def add_cut(self, model, comp):
         """Forbid flow into comp without entering flow or an in-comp source."""
+        self.comps.append(comp)
         entering = []
         for e, grp in zip(self.system.edges, self.var_groups):
             if e[2] in comp and e[0] not in comp:
@@ -444,14 +457,85 @@ def _letter_bounds(system):
     return bounds
 
 
-def _fixed_bound(sys1, sys2, d):
-    """A generous per-letter count bound for minimal threshold matchings.
+def _fixed_bound(sys1, sys2, letters, d, bounds):
+    """The box in which match_fixed first solves.
 
-    A minimal matching pair never needs any letter count far past the
-    threshold: surplus cycles (length at most the state count) can be removed
-    from both sides while staying in the both-at-least-d branch.
+    At a threshold d the box bounds the run length of some match on each
+    side, so an UNSAT answer inside it is final.  Take a match and one
+    side's run.  For each letter of letters, mark its occurrences if it
+    occurs fewer than d times, else mark d of them: at most min(d, m) marks
+    for a letter whose count is at most m on this side (_letter_bounds), so
+    M marks in all.  The unmarked edges form at most M + 1 stretches.  A
+    stretch of n or more edges, n the side's state count, repeats a state,
+    and cutting out the cycle between the repeats leaves a run between the
+    same endpoints with every marked edge: a letter below d keeps its count,
+    which the other side's count equals, and a letter at d or more stays
+    there, as the other side's count does.  So the match holds after every
+    such cut, and at the end the run has at most M + (M + 1)(n - 1) edges,
+    less than n (M + 1).  Every variable of the model (an edge or letter
+    count, or a 0/1 selector) is at most that length, and a connected flow
+    with edge counts in the box satisfies the box's cuts.
+
+    Exact matches (d=None) have no such bound: {a^7j} and {a^11j} match
+    only at 77t letters.  There the box, twice the summed state count plus
+    three, is a first guess, and only a SAT answer inside it is final.
+
+    A SAT answer whose optimum (the variable sum: every variable is
+    nonnegative with cost 1) is at most the box is final for any d: a
+    cheaper connected solution in a larger box would have every variable
+    below the box, so it would lie in the box and satisfy the box's cuts.
+    The boxed optimum is then the optimum in the larger box.
     """
-    return (d or 1) + 2 * (sys1.nfa.n_states + sys2.nfa.n_states) + 2
+    if d is None:
+        return 2 * (sys1.nfa.n_states + sys2.nfa.n_states) + 3
+    box = 0
+    for system, side in zip((sys1, sys2), bounds):
+        marks = 0
+        for sym in letters:
+            if sym in side:
+                marks += d if side[sym] is None else min(d, side[sym])
+        box = max(box, system.nfa.n_states * (marks + 1))
+    return box
+
+
+def _match_model(sys1, sys2, letters, d, bounds, box):
+    """The match_fixed model with every variable bound, count variable,
+    big-M row and cut coefficient set to box.
+
+    bounds is the pair of _letter_bounds of the two sides (None when d is
+    None).  Returns the model, both sides' variables and the connectivity
+    requirements.
+    """
+    model = MipModel()
+    s1 = _add_flow(model, sys1, box)
+    s2 = _add_flow(model, sys2, box)
+    for sym in letters:
+        t1 = s1.count_terms(sym)
+        t2 = s2.count_terms(sym)
+        equal = d is None or not t1 or not t2
+        if not equal:
+            # the both->=d branch is unreachable when a side stays below d
+            m1 = bounds[0].get(sym, 0)
+            m2 = bounds[1].get(sym, 0)
+            equal = (m1 is not None and m1 < d) or (m2 is not None and m2 < d)
+        if equal:
+            terms = dict(t1)
+            for v, c in t2.items():
+                terms[v] = terms.get(v, 0) - c
+            model.add_eq(terms, 0)
+            continue
+        x1 = s1.count_var(model, sym, box)
+        x2 = s2.count_var(model, sym, box)
+        dif = model.add_var(0, 1)
+        model.add_le({x1: 1, x2: -1, dif: -box}, 0)
+        model.add_le({x2: 1, x1: -1, dif: -box}, 0)
+        model.add_ge({x1: 1, dif: -d}, 0)
+        model.add_ge({x2: 1, dif: -d}, 0)
+    reqs = [
+        _ConnReq(sys1, [[v] for v in s1.edge_vars], s1.src_vars, box),
+        _ConnReq(sys2, [[v] for v in s2.edge_vars], s2.src_vars, box),
+    ]
+    return model, s1, s2, reqs
 
 
 def match_fixed(sys1, sys2, letters, d, cap=100_000):
@@ -459,53 +543,44 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
 
     d=None asks for exactly equal vectors.  Letters outside a side's alphabet
     count as the constant 0 on that side.
+
+    The match is first solved in the box B = min(cap, _fixed_bound), where
+    the MILP is far easier than in the cap box.  Its answer stands when it
+    is UNSAT at a given d, or SAT with objective at most B, which is then
+    the cap optimum (see _fixed_bound).  Otherwise (UNSAT at d=None, a
+    costlier optimum, or a stall) the model is rebuilt at cap, seeded with
+    the connectivity cuts of the boxed solve (they hold for every connected
+    flow), and solved again.  A stall at cap keeps a boxed SAT answer: its
+    flows are a match, perhaps not the cheapest.
     """
     if not sys1.i or not sys1.f or not sys2.i or not sys2.f:
         return MatchResult(UNSAT)
-    model = MipModel()
-    s1 = _add_flow(model, sys1, cap)
-    s2 = _add_flow(model, sys2, cap)
     letters = list(letters)
-    if d is not None:
-        bounds1, bounds2 = _letter_bounds(sys1), _letter_bounds(sys2)
-    for sym in letters:
-        t1 = s1.count_terms(sym)
-        t2 = s2.count_terms(sym)
-        if d is None:
-            terms = dict(t1)
-            for v, c in t2.items():
-                terms[v] = terms.get(v, 0) - c
-            model.add_eq(terms, 0)
+    bounds = None if d is None else (_letter_bounds(sys1), _letter_bounds(sys2))
+    fixed = _fixed_bound(sys1, sys2, letters, d, bounds)
+    res = MatchResult(UNKNOWN)
+    seen = ([], [])
+    for box in sorted({min(cap, fixed), cap}):
+        model, s1, s2, reqs = _match_model(sys1, sys2, letters, d, bounds, box)
+        for req, comps in zip(reqs, seen):
+            for comp in comps:
+                req.add_cut(model, comp)
+        seen = [req.comps for req in reqs]
+        try:
+            sol = _solve_connected(model, reqs)
+        except SolverStall:
+            if res.status != SAT:
+                res = MatchResult(UNKNOWN)
             continue
-        m1 = bounds1.get(sym, 0)
-        m2 = bounds2.get(sym, 0)
-        bounded_low = (m1 is not None and m1 < d) or (m2 is not None and m2 < d)
-        if bounded_low or not t1 or not t2:
-            # the both->=d branch is unreachable: force equality
-            terms = dict(t1)
-            for v, c in t2.items():
-                terms[v] = terms.get(v, 0) - c
-            model.add_eq(terms, 0)
-            continue
-        x1 = s1.count_var(model, sym, cap)
-        x2 = s2.count_var(model, sym, cap)
-        dif = model.add_var(0, 1)
-        model.add_le({x1: 1, x2: -1, dif: -cap}, 0)
-        model.add_le({x2: 1, x1: -1, dif: -cap}, 0)
-        model.add_ge({x1: 1, dif: -d}, 0)
-        model.add_ge({x2: 1, dif: -d}, 0)
-    reqs = [
-        _ConnReq(sys1, [[v] for v in s1.edge_vars], s1.src_vars, cap),
-        _ConnReq(sys2, [[v] for v in s2.edge_vars], s2.src_vars, cap),
-    ]
-    try:
-        sol = _solve_connected(model, reqs)
-    except SolverStall:
-        return MatchResult(UNKNOWN)
-    if sol is None:
-        certain = d is None or _fixed_bound(sys1, sys2, d) <= cap
-        return MatchResult(UNSAT, certain=certain)
-    return MatchResult(SAT, _extract(s1, sol), _extract(s2, sol))
+        if sol is None:
+            res = MatchResult(UNSAT, certain=d is None or fixed <= box)
+            if d is not None:
+                break
+        else:
+            res = MatchResult(SAT, _extract(s1, sol), _extract(s2, sol))
+            if sum(sol) <= box:
+                break
+    return res
 
 
 @dataclass

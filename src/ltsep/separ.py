@@ -37,7 +37,7 @@ from .reduction import (
 # the largest threshold the LTT doubling search tries on the reduced automaton
 DOUBLING_MAX = 4096
 # the (k, d) signature probes of the fallback, in order; LT keeps d = 1
-PROBE_SCHEDULE = ((1, 1), (1, 2), (2, 1))
+PROBE_SCHEDULE = ((1, 1), (1, 2), (2, 1), (1, 3))
 
 
 @dataclass

@@ -7,7 +7,8 @@ import pytest
 
 from ltsep.automata import Nfa, accepts, reachable
 from ltsep import parikh as pk
-from ltsep.testkit import gen_parity, gen_random
+from ltsep.reduction import build_reduced, build_reduced_pool
+from ltsep.testkit import Cnf3, gen_parity, gen_random, gen_sat_instance
 
 
 def _letter_counts(w):
@@ -126,6 +127,142 @@ class TestMatchFixed:
         alive = pk.flow_system(nfa, {0}, {1})
         dead = pk.flow_system(nfa, {1}, {0})
         assert pk.match_fixed(alive, dead, ["a"], 1).status == pk.UNSAT
+
+
+def _cycle(word, extra=()):
+    """The flow system of word^+: a fresh initial state 0 reading word[0]
+    into the cycle 1 -> 2 -> ... -> n -> 1 whose final state n closes it."""
+    n = len(word)
+    trans = [(0, word[0], 1), (n, word[0], 1)]
+    trans += [(q, word[q], q + 1) for q in range(1, n)]
+    trans += extra
+    nfa = Nfa(n + 1, tuple(sorted({a for _p, a, _q in trans})), frozenset(trans))
+    return pk.flow_system(nfa, {0}, {n})
+
+
+def _bounds(sys1, sys2, d):
+    return None if d is None else (pk._letter_bounds(sys1), pk._letter_bounds(sys2))
+
+
+def _first_box(sys1, sys2, letters, d):
+    return pk._fixed_bound(sys1, sys2, letters, d, _bounds(sys1, sys2, d))
+
+
+def _boxed_objective(sys1, sys2, letters, d, box):
+    """The optimum of match_fixed's model built at one box, None if UNSAT."""
+    bounds = _bounds(sys1, sys2, d)
+    model, _s1, _s2, reqs = pk._match_model(sys1, sys2, letters, d, bounds, box)
+    sol = pk._solve_connected(model, reqs)
+    return None if sol is None else sum(sol)
+
+
+class TestMatchFixedBox:
+    def _record_boxes(self, monkeypatch):
+        boxes = []
+        real = pk._match_model
+
+        def recording(*args):
+            boxes.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(pk, "_match_model", recording)
+        return boxes
+
+    def test_costly_exact_match_is_solved_again_at_cap(self, monkeypatch):
+        # L1 = {a^7j}, L2 = {a^11j}: every exact match has 77t letters, so
+        # the optimum costs more than the first box and is not accepted there
+        sys1, sys2 = _cycle("a" * 7), _cycle("a" * 11)
+        assert _first_box(sys1, sys2, ["a"], None) == 43
+        boxes = self._record_boxes(monkeypatch)
+        res = pk.match_fixed(sys1, sys2, ["a"], None)
+        assert res.status == pk.SAT
+        assert res.assignment1.letter_counts == {"a": 77}
+        assert res.assignment2.letter_counts == {"a": 77}
+        assert boxes == [43, 100_000]
+
+    def test_exact_match_outside_the_box_is_found_at_cap(self, monkeypatch):
+        # L1 = (a^6 b)^+, L2 = (b^11)^+ with an a-loop on its final state:
+        # every exact match puts 66t > 43 a's on that one loop, so the first
+        # box is infeasible, and at d=None that is not final
+        sys1 = _cycle("aaaaaab")
+        sys2 = _cycle("b" * 11, extra=[(11, "a", 11)])
+        assert _first_box(sys1, sys2, ["a", "b"], None) == 43
+        boxes = self._record_boxes(monkeypatch)
+        res = pk.match_fixed(sys1, sys2, ["a", "b"], None)
+        assert res.status == pk.SAT
+        assert res.assignment1.letter_counts == {"a": 66, "b": 11}
+        assert res.assignment2.letter_counts == {"a": 66, "b": 11}
+        assert boxes == [43, 100_000]
+
+    def test_stall_at_cap_keeps_only_a_boxed_match(self, monkeypatch):
+        # a stall of the cap solve keeps the box's SAT answer (its flows are
+        # a match, perhaps not the cheapest), but not the box's UNSAT, which
+        # is not final for an exact match
+        real = pk._solve_connected
+
+        def stall_at_cap(model, reqs):
+            if reqs[0].cap == 100_000:
+                raise pk.SolverStall("stalled")
+            return real(model, reqs)
+
+        monkeypatch.setattr(pk, "_solve_connected", stall_at_cap)
+        costly = pk.match_fixed(_cycle("a" * 7), _cycle("a" * 11), ["a"], None)
+        assert costly.status == pk.SAT
+        assert costly.assignment1.letter_counts == {"a": 77}
+        sys2 = _cycle("b" * 11, extra=[(11, "a", 11)])
+        outside = pk.match_fixed(_cycle("aaaaaab"), sys2, ["a", "b"], None)
+        assert outside.status == pk.UNKNOWN
+
+    def test_unsat_at_a_threshold_is_final_in_the_box(self, monkeypatch):
+        # {eps} against {a} at d = 1: no match, and the first box proves it
+        nfa = Nfa(2, ("a",), frozenset([(0, "a", 1)]))
+        sys1, sys2 = pk.flow_system(nfa, {0}, {0}), pk.flow_system(nfa, {0}, {1})
+        boxes = self._record_boxes(monkeypatch)
+        res = pk.match_fixed(sys1, sys2, ["a"], 1)
+        assert res.status == pk.UNSAT and res.certain
+        assert boxes == [_first_box(sys1, sys2, ["a"], 1)]
+
+    def test_letter_below_threshold_pins_cycles(self, monkeypatch):
+        # L1 = (a^11 b)^+ against L2 = b^4 a^*, at d = 5: b stays below 5 in
+        # L2, so both b counts are 4, which pins L1 to four periods and 44
+        # a's, more than twice the summed state count; the box counts the
+        # marks of every letter and finds the match in one solve
+        sys1 = _cycle("a" * 11 + "b")
+        trans = [(q, "b", q + 1) for q in range(4)] + [(4, "a", 4)]
+        sys2 = pk.flow_system(Nfa(5, ("a", "b"), frozenset(trans)), {0}, {4})
+        assert _first_box(sys1, sys2, ["a", "b"], 5) == 13 * (1 + 5 + 5)
+        boxes = self._record_boxes(monkeypatch)
+        res = pk.match_fixed(sys1, sys2, ["a", "b"], 5)
+        assert res.status == pk.SAT
+        assert res.assignment1.letter_counts == {"a": 44, "b": 4}
+        assert res.assignment2.letter_counts == {"a": 5, "b": 4}
+        assert len(boxes) == 1
+
+    def test_boxed_optimum_equals_cap_optimum(self):
+        # exact matches on the pools of satisfiable CNF encodings and a
+        # threshold-1 match on a reduced automaton, each with first
+        # solutions of disconnected support in both boxes, plus plain
+        # matches on criterion 8's reduced automata at d = 1 and 8
+        cases = [
+            (build_reduced_pool(gen_sat_instance(cnf)), None)
+            for cnf in (
+                Cnf3(6, ((-2, -6, 4),)),
+                Cnf3(5, ((-4, -3, -2), (2, 3, 1), (-3, -1, -2))),
+                Cnf3(5, ((-5, 3, -4), (1, -4, 3))),
+            )
+        ]
+        cases.append((build_reduced(gen_random(141, 2, 2, 0.3)), 1))
+        for seed in (10_000, 10_003, 10_011):
+            red = build_reduced(gen_random(seed, 3, 2, 0.4))
+            cases += [(red, 1), (red, 8)]
+        for red, d in cases:
+            sys1 = pk.flow_system(red.nfa, red.i1, red.f1)
+            sys2 = pk.flow_system(red.nfa, red.i2, red.f2)
+            letters = sorted(set(sys1.letters) | set(sys2.letters))
+            box = _first_box(sys1, sys2, letters, d)
+            got = _boxed_objective(sys1, sys2, letters, d, box)
+            assert got is not None and got <= box
+            assert got == _boxed_objective(sys1, sys2, letters, d, 100_000)
 
 
 class TestMatchLimit:

@@ -25,6 +25,7 @@ from ltsep.testkit import (
     gen_parity,
     gen_random,
     gen_sat_instance,
+    gen_threshold_family,
     sat_brute,
 )
 
@@ -80,6 +81,14 @@ class TestDecideFixed:
                 for (k2, d2) in grid:
                     if k2 >= k and d2 >= d and got[(k, d)]:
                         assert got[(k2, d2)], (seed, (k, d), (k2, d2))
+
+    def test_sat_core_at_threshold_two(self):
+        # in the 100,000 box HiGHS cannot prove this 41-variable model
+        # infeasible within minutes; the first, small box settles it at once
+        spec = gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1))))
+        v = decide_fixed(spec, 1, 2)
+        assert v.separable is True
+        assert exact_fixed_oracle(spec, 1, 2) == "separable"
 
     def test_agrees_with_signature_oracle(self):
         rng = random.Random(88)
@@ -167,6 +176,17 @@ class TestDecideFull:
                     assert accepts(spec.nfa, spec.i1, spec.f1, w1)
                     assert accepts(spec.nfa, spec.i2, spec.f2, w2)
                     assert equivalent(w1, w2, 1, 1)
+
+    def test_fallback_probes_threshold_three(self):
+        # the threshold family at m = 1 is past the reduction budget and
+        # separable exactly from d = 3 on, which only the last probe tries
+        spec = gen_threshold_family(1)
+        assert _sig_probe(spec, 1, 2, EngineConfig()) is False
+        v = decide_ltt(spec)
+        assert v.separable is True
+        assert (v.k, v.d) == (1, 3)
+        assert v.notes["via"] == "fixed-probe"
+        assert "reduction-budget" in v.flags
 
 
 class TestSeparator:
