@@ -23,10 +23,11 @@ threshold rows and cuts; HiGHS is far faster in a small box than in the
 threshold d, a proven bound on the run length of some match when one
 exists; for an exact match, a first guess of twice the summed state
 count.  It keeps that answer when the box makes it final: UNSAT at a
-given threshold, or SAT whose minimum variable sum fits in the box, which
-is then the minimum of the cap model too.  Otherwise it solves again at
-cap.  feasible gets its box from its caller; match_limit solves at cap,
-since there an UNSAT answer in a small box settles nothing.
+given threshold, or SAT whose minimum variable sum, less the four
+endpoint selectors, fits in the box, which is then the minimum of the cap
+model too.  Otherwise it solves again at cap.  feasible gets its box from
+its caller; match_limit solves at cap, since there an UNSAT answer in a
+small box settles nothing.
 """
 
 from dataclasses import dataclass, field
@@ -484,7 +485,10 @@ def _fixed_bound(sys1, sys2, letters, d, bounds):
     nonnegative with cost 1) is at most the box is final for any d: a
     cheaper connected solution in a larger box would have every variable
     below the box, so it would lie in the box and satisfy the box's cuts.
-    The boxed optimum is then the optimum in the larger box.
+    The boxed optimum is then the optimum in the larger box.  Every
+    solution sets exactly four endpoint selectors, so an optimum up to the
+    box plus 4 is final too: a cheaper solution has every other variable at
+    most the optimum minus 5.
     """
     if d is None:
         return 2 * (sys1.nfa.n_states + sys2.nfa.n_states) + 3
@@ -546,8 +550,8 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
 
     The match is first solved in the box B = min(cap, _fixed_bound), where
     the MILP is far easier than in the cap box.  Its answer stands when it
-    is UNSAT at a given d, or SAT with objective at most B, which is then
-    the cap optimum (see _fixed_bound).  Otherwise (UNSAT at d=None, a
+    is UNSAT at a given d, or SAT with objective at most B + 4, which is
+    then the cap optimum (see _fixed_bound).  Otherwise (UNSAT at d=None, a
     costlier optimum, or a stall) the model is rebuilt at cap, seeded with
     the connectivity cuts of the boxed solve (they hold for every connected
     flow), and solved again.  A stall at cap keeps a boxed SAT answer: its
@@ -578,7 +582,7 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
                 break
         else:
             res = MatchResult(SAT, _extract(s1, sol), _extract(s2, sol))
-            if sum(sol) <= box:
+            if sum(sol) - 4 <= box:
                 break
     return res
 

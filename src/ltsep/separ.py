@@ -19,6 +19,7 @@ from .profiles import (
     language_signatures,
     out_edges,
     project_profile_word,
+    signature_of,
     window_flush,
     window_walk,
     AnnotationBudgetError,
@@ -67,16 +68,19 @@ class WitnessPair:
 class SeparatorHandle:
     """Implicit representation of the profile closure of L1 at (k, d).
 
-    Membership of w reduces to one flow-feasibility question: does some L1
-    word share w's capped profile image?
+    w is a member when some L1 word shares its capped profile image.  A
+    handle from the fallback's signature probe holds the set of L1's images
+    and answers by lookup; a decide_fixed handle holds the flow system of
+    the profile-annotated L1 and answers by one flow-feasibility question.
     """
 
     k: int
     d: int
-    system: pk.FlowSystem  # flow system of the profile-annotated L1
-    profiles: dict  # annotated symbol -> Profile
+    system: pk.FlowSystem  # flow system of the profile-annotated L1, or None
+    profiles: dict  # annotated symbol -> Profile, or None
     spec: LangSpec  # the original two-language spec
     cap: int = 100_000
+    signatures: frozenset = None  # L1's capped images, on probe handles
 
 
 @dataclass
@@ -251,8 +255,10 @@ def decide_ltt(spec, cfg=None):
 
 
 def _sig_probe(spec, k, d, cfg):
-    """Exact fixed-(k,d) separability by signature enumeration; None on budget.
+    """Exact fixed-(k,d) separability by signature enumeration.
 
+    Returns L1's signature set (a frozenset, empty for an empty L1) when no
+    L2 word shares one, False when one does, and None on budget.
     Enumerates side 1's signatures, then walks side 2 pruning any state whose
     capped counts can no longer grow into a side-1 signature (counts are
     monotone along a run), with early exit on a shared signature.
@@ -281,7 +287,7 @@ def _sig_probe(spec, k, d, cfg):
                 return False
     except AnnotationBudgetError:
         return None
-    return True
+    return frozenset(targets)
 
 
 def _fallback(spec, cfg, problem):
@@ -289,11 +295,11 @@ def _fallback(spec, cfg, problem):
 
     Separability side: fixed-(k,d) probes on the original languages by exact
     signature enumeration (sound: a fixed-parameter separator is an LT/LTT
-    separator); a separable verdict still hands out the flow-based separator
-    handle.  Inseparability side: an exactly-matching word pair over the
-    partial reduced automaton decodes to a common pattern at every threshold
-    (sound for both LT and LTT).  Neither side is complete; exhaustion
-    reports unknown.
+    separator); a separable verdict hands out a separator handle holding the
+    probe's signature set of L1.  Inseparability side: an exactly-matching
+    word pair over the partial reduced automaton decodes to a common pattern
+    at every threshold (sound for both LT and LTT).  Neither side is
+    complete; exhaustion reports unknown.
     """
     flags = ["reduction-budget"]
     schedule = PROBE_SCHEDULE if problem == "ltt" else tuple(
@@ -301,18 +307,18 @@ def _fallback(spec, cfg, problem):
     )
 
     def probe_verdict(k, d):
-        if _sig_probe(spec, k, d, cfg):
-            ann1, sys1 = annotated_side(spec, 1, k, cfg)
-            handle = SeparatorHandle(
-                k, d, sys1, ann1.profiles, spec, cfg.solver_cap
-            )
-            return Verdict(
-                problem, True, k, d,
-                separator=handle,
-                flags=flags,
-                notes={"via": "fixed-probe"},
-            )
-        return None
+        sigs = _sig_probe(spec, k, d, cfg)
+        if sigs is None or sigs is False:
+            return None
+        handle = SeparatorHandle(
+            k, d, None, None, spec, cfg.solver_cap, signatures=sigs
+        )
+        return Verdict(
+            problem, True, k, d,
+            separator=handle,
+            flags=flags,
+            notes={"via": "fixed-probe"},
+        )
 
     v = probe_verdict(*schedule[0])
     if v is not None:
@@ -352,13 +358,17 @@ def replay_witness(verdict, d, ell=1):
 def separator_membership(handle, w):
     """Does w belong to the profile closure of L1 at the handle's (k, d)?
 
-    True iff some u in L1 has the same capped image as w; three-valued (None
-    on solver budget exhaustion).
+    True iff some u in L1 has the same capped image as w.  A probe handle
+    answers by exact lookup in its signature set and never returns None; a
+    decide_fixed handle solves a flow model and returns None on solver
+    budget exhaustion.
     """
     w = tuple(w)
     for a in w:
         if a not in handle.spec.nfa.alphabet:
             raise ValueError("symbol %r outside the alphabet" % (a,))
+    if handle.signatures is not None:
+        return signature_of(w, handle.k, handle.d) in handle.signatures
     img = capped_image(w, handle.k, handle.d).as_dict()
     known = set(handle.system.nfa.alphabet)
     count_eq = {}
@@ -405,9 +415,9 @@ def separator_automaton(handle, budget=100_000):
     """
     spec = handle.spec
     k, d = handle.k, handle.d
-    sigs = language_signatures(
-        spec.nfa, spec.i1, spec.f1, k, d, budget
-    )
+    sigs = handle.signatures
+    if sigs is None:
+        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d, budget)
     alphabet = tuple(spec.nfa.alphabet)
     loops = {0: [(a, 0) for a in alphabet]}
     index = {}

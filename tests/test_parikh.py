@@ -238,6 +238,23 @@ class TestMatchFixedBox:
         assert res.assignment2.letter_counts == {"a": 5, "b": 4}
         assert len(boxes) == 1
 
+    def test_endpoint_selectors_do_not_force_a_cap_solve(self, monkeypatch):
+        # one-state sides with no letters: the box is 1 and the optimum is
+        # the four endpoint selectors, which is final in the box
+        sys0 = pk.flow_system(Nfa(1, (), frozenset()), {0}, {0})
+        assert _first_box(sys0, sys0, [], 1) == 1
+        solves = []
+        real = pk.MipModel.solve
+
+        def counting(model):
+            solves.append(model)
+            return real(model)
+
+        monkeypatch.setattr(pk.MipModel, "solve", counting)
+        res = pk.match_fixed(sys0, sys0, [], 1)
+        assert res.status == pk.SAT
+        assert len(solves) == 1
+
     def test_boxed_optimum_equals_cap_optimum(self):
         # exact matches on the pools of satisfiable CNF encodings and a
         # threshold-1 match on a reduced automaton, each with first

@@ -6,11 +6,17 @@ import random
 import pytest
 
 from ltsep.automata import LangSpec, Nfa, accepts
-from ltsep.profiles import capped_image, equivalent
+from ltsep.profiles import (
+    capped_image,
+    equivalent,
+    language_signatures,
+    signature_of,
+)
 from ltsep.reduction import DPattern
 from ltsep.separ import (
     EngineConfig,
     WitnessPair,
+    _fallback,
     _sig_probe,
     decide_fixed,
     decide_lt,
@@ -26,6 +32,7 @@ from ltsep.testkit import (
     gen_random,
     gen_sat_instance,
     gen_threshold_family,
+    sample_words,
     sat_brute,
 )
 
@@ -236,8 +243,6 @@ class TestSeparator:
                 continue
             checked += 1
             handle = v.separator
-            from ltsep.testkit import sample_words
-
             for w in sample_words(spec.nfa, spec.i1, spec.f1, 10, rng):
                 assert separator_membership(handle, w) is True
             for w in sample_words(spec.nfa, spec.i2, spec.f2, 10, rng):
@@ -251,11 +256,65 @@ class TestSigProbe:
         for seed in range(30):
             spec = gen_random(300 + seed, rng.randint(1, 4), rng.randint(1, 2), 0.35)
             for k, d in ((1, 1), (1, 2), (2, 1)):
-                separable = exact_fixed_oracle(spec, k, d) == "separable"
-                assert _sig_probe(spec, k, d, EngineConfig()) is separable, (seed, k, d)
+                res = _sig_probe(spec, k, d, EngineConfig())
+                if exact_fixed_oracle(spec, k, d) == "inseparable":
+                    assert res is False, (seed, k, d)
+                else:
+                    assert res == language_signatures(
+                        spec.nfa, spec.i1, spec.f1, k, d
+                    ), (seed, k, d)
 
     def test_budget_gives_none(self):
         assert _sig_probe(gen_parity(), 2, 1, EngineConfig(state_budget=1)) is None
+
+    def test_empty_l1_is_separable(self):
+        # an empty L1 has an empty signature set, which is falsy but still
+        # a separable probe; its handle accepts no word
+        spec = _fork_spec()
+        spec = LangSpec(spec.nfa, frozenset(), spec.f1, spec.i2, spec.f2)
+        cfg = EngineConfig()
+        assert _sig_probe(spec, 1, 1, cfg) == frozenset()
+        v = _fallback(spec, cfg, problem="ltt")
+        assert v.separable is True and (v.k, v.d) == (1, 1)
+        assert v.notes["via"] == "fixed-probe"
+        rng = random.Random(8)
+        for _ in range(50):
+            w = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(0, 6)))
+            assert separator_membership(v.separator, w) is False
+
+
+class TestProbeHandle:
+    """Membership on the fallback's probe handles, checked against the
+    signature sets and against the flow-model handle of decide_fixed."""
+
+    @pytest.mark.parametrize("spec, decide", [
+        (gen_threshold_family(1), decide_ltt),
+        (gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1)))), decide_lt),
+    ], ids=["threshold-1", "sat-core"])
+    def test_membership_matches_references(self, spec, decide):
+        v = decide(spec)
+        assert v.separable is True and v.notes["via"] == "fixed-probe"
+        handle = v.separator
+        k, d = handle.k, handle.d
+        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
+        flow_handle = decide_fixed(spec, k, d).separator
+        nfa, i, f = separator_automaton(handle)
+        sigma = spec.nfa.alphabet
+        rng = random.Random(11)
+        words = [
+            tuple(rng.choice(sigma) for _ in range(rng.randint(0, 8)))
+            for _ in range(100)
+        ]
+        words += sample_words(spec.nfa, spec.i1, spec.f1, 10, rng)
+        for w in words:
+            expect = signature_of(w, k, d) in sigs
+            assert separator_membership(handle, w) is expect, w
+            assert separator_membership(flow_handle, w) is expect, w
+            assert accepts(nfa, i, f, w) == expect, w
+        members = sum(separator_membership(handle, w) for w in words)
+        assert 0 < members < len(words)
+        with pytest.raises(ValueError):
+            separator_membership(handle, ("z",))
 
 
 class TestEngineConfig:
