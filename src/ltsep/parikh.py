@@ -9,13 +9,15 @@ over all thresholds via pump certificates), and reconstructs witness words
 from feasible flows.
 
 Connectivity of the used-edge subgraph to the chosen source has two
-encodings, each the faster one where it is used.  The two-sided matches
-(match_fixed, match_limit) add cut rows lazily: solve, check the support of
-the solution, and forbid disconnected supports until the support is
-connected.  The one-sided membership query (feasible) adds a commodity flow
-up front (_add_support_reach) and solves once.  Integer feasibility itself
-is delegated to scipy's MILP interface; returned solutions are re-verified
-in exact integer arithmetic before use.
+encodings.  The two-sided matches (match_fixed, match_limit) add cut rows
+lazily: solve, check the support of the solution, and forbid disconnected
+supports until the support is connected.  The one-sided query (feasible)
+adds a commodity flow up front (_add_support_reach) and solves once; the
+engine no longer calls it (separator membership is an exact window search
+in separ), but the benchmark's tracer still wraps it by name, so it stays
+until that tracer drops it.  Integer feasibility itself is delegated to
+scipy's MILP interface; returned solutions are re-verified in exact
+integer arithmetic before use.
 
 Every model bounds its variables by a box, which is also the big-M of its
 threshold rows and cuts; HiGHS is far faster in a small box than in the

@@ -14,7 +14,6 @@ from .automata import LangSpec, Nfa, accepts, product, shortest_word
 from .monoid import transition_monoid, profile_width_bound, MonoidBudgetError
 from .profiles import (
     annotate,
-    capped_image,
     equivalent,
     language_signatures,
     out_edges,
@@ -43,8 +42,8 @@ PROBE_SCHEDULE = ((1, 1), (1, 2), (2, 1), (1, 3))
 
 @dataclass
 class EngineConfig:
-    """Budgets for the decision pipelines: states for profile annotation and
-    signature enumeration, and the solver's box cap."""
+    """Budgets for the decision pipelines: states for profile annotation,
+    signature enumeration and membership search, and the solver's box cap."""
 
     state_budget: int = 500_000
     solver_cap: int = 100_000
@@ -70,16 +69,14 @@ class SeparatorHandle:
 
     w is a member when some L1 word shares its capped profile image.  A
     handle from the fallback's signature probe holds the set of L1's images
-    and answers by lookup; a decide_fixed handle holds the flow system of
-    the profile-annotated L1 and answers by one flow-feasibility question.
+    and answers by lookup; a decide_fixed handle searches L1's windows for
+    w's image, exploring at most state_budget states.
     """
 
     k: int
     d: int
-    system: pk.FlowSystem  # flow system of the profile-annotated L1, or None
-    profiles: dict  # annotated symbol -> Profile, or None
     spec: LangSpec  # the original two-language spec
-    cap: int = 100_000
+    state_budget: int = 500_000
     signatures: frozenset = None  # L1's capped images, on probe handles
 
 
@@ -121,8 +118,11 @@ def decide_fixed(spec, k, d, cfg=None):
     cfg = _cfg(cfg)
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
-    ann1, sys1 = annotated_side(spec, 1, k, cfg)
-    ann2, sys2 = annotated_side(spec, 2, k, cfg)
+    try:
+        ann1, sys1 = annotated_side(spec, 1, k, cfg)
+        ann2, sys2 = annotated_side(spec, 2, k, cfg)
+    except AnnotationBudgetError:
+        return Verdict("fixed", None, k, d, flags=["state-budget"])
     letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
     res = pk.match_fixed(sys1, sys2, letters, d, cfg.solver_cap)
     if res.status == pk.SAT:
@@ -140,7 +140,7 @@ def decide_fixed(spec, k, d, cfg=None):
             "fixed", False, k, d, witness=WitnessPair(w1, w2, k, d)
         )
     if res.status == pk.UNSAT and res.certain:
-        handle = SeparatorHandle(k, d, sys1, ann1.profiles, spec, cfg.solver_cap)
+        handle = SeparatorHandle(k, d, spec, cfg.state_budget)
         return Verdict("fixed", True, k, d, separator=handle)
     return Verdict("fixed", None, k, d, flags=_budget_flags(res))
 
@@ -254,21 +254,14 @@ def decide_ltt(spec, cfg=None):
     return _decide_full(spec, cfg, "ltt", _settle_ltt)
 
 
-def _sig_probe(spec, k, d, cfg):
-    """Exact fixed-(k,d) separability by signature enumeration.
+def _meets(nfa, i, f, targets, k, d, budget):
+    """Does some word of L(nfa, i, f) have its capped image in targets?
 
-    Returns L1's signature set (a frozenset, empty for an empty L1) when no
-    L2 word shares one, False when one does, and None on budget.
-    Enumerates side 1's signatures, then walks side 2 pruning any state whose
-    capped counts can no longer grow into a side-1 signature (counts are
-    monotone along a run), with early exit on a shared signature.
+    Walks the language's sliding windows, pruning any state whose capped
+    counts can no longer grow into a target (counts are monotone along a
+    run), with early exit on a hit.  Returns True or False, or None past
+    budget states.
     """
-    try:
-        targets = language_signatures(
-            spec.nfa, spec.i1, spec.f1, k, d, cfg.state_budget
-        )
-    except AnnotationBudgetError:
-        return None
     target_dicts = [dict(t) for t in targets]
 
     @cache
@@ -277,17 +270,33 @@ def _sig_probe(spec, k, d, cfg):
             all(c <= t.get(p, 0) for (p, c) in counts) for t in target_dicts
         )
 
-    fset = set(spec.f2)
-    walk = window_walk(
-        out_edges(spec.nfa), spec.i2, k, d, cfg.state_budget, compat
-    )
+    fset = set(f)
+    walk = window_walk(out_edges(nfa), i, k, d, budget, compat)
     try:
         for _src, _a, (q, buf, counts, fill), new in walk:
             if new and q in fset and window_flush(buf, counts, k, d, fill) in targets:
-                return False
+                return True
     except AnnotationBudgetError:
         return None
-    return frozenset(targets)
+    return False
+
+
+def _sig_probe(spec, k, d, cfg):
+    """Exact fixed-(k,d) separability by signature enumeration.
+
+    Returns L1's signature set (a frozenset, empty for an empty L1) when no
+    L2 word shares one, False when one does, and None on budget.
+    """
+    try:
+        targets = language_signatures(
+            spec.nfa, spec.i1, spec.f1, k, d, cfg.state_budget
+        )
+    except AnnotationBudgetError:
+        return None
+    shared = _meets(spec.nfa, spec.i2, spec.f2, targets, k, d, cfg.state_budget)
+    if shared is None:
+        return None
+    return False if shared else frozenset(targets)
 
 
 def _fallback(spec, cfg, problem):
@@ -310,9 +319,7 @@ def _fallback(spec, cfg, problem):
         sigs = _sig_probe(spec, k, d, cfg)
         if sigs is None or sigs is False:
             return None
-        handle = SeparatorHandle(
-            k, d, None, None, spec, cfg.solver_cap, signatures=sigs
-        )
+        handle = SeparatorHandle(k, d, spec, cfg.state_budget, signatures=sigs)
         return Verdict(
             problem, True, k, d,
             separator=handle,
@@ -359,50 +366,21 @@ def separator_membership(handle, w):
     """Does w belong to the profile closure of L1 at the handle's (k, d)?
 
     True iff some u in L1 has the same capped image as w.  A probe handle
-    answers by exact lookup in its signature set and never returns None; a
-    decide_fixed handle solves a flow model and returns None on solver
-    budget exhaustion.
+    looks the image up in its signature set; any other handle searches L1's
+    windows for it and returns None past its state budget.  Both answers
+    are exact: no flow model, no floating point.
     """
     w = tuple(w)
     for a in w:
         if a not in handle.spec.nfa.alphabet:
             raise ValueError("symbol %r outside the alphabet" % (a,))
+    sig = signature_of(w, handle.k, handle.d)
     if handle.signatures is not None:
-        return signature_of(w, handle.k, handle.d) in handle.signatures
-    img = capped_image(w, handle.k, handle.d).as_dict()
-    known = set(handle.system.nfa.alphabet)
-    count_eq = {}
-    count_ge = {}
-    for p, c in img.items():
-        sym = p.symbol()
-        if sym not in known:
-            # L1 never produces this profile, so counts can only match as 0
-            return False
-        if c < handle.d:
-            count_eq[sym] = c
-        else:
-            count_ge[sym] = handle.d
-    # a minimal matching flow never pushes any count far past the threshold:
-    # surplus cycles can be cancelled, so a small box keeps the search exact
-    # while shrinking the big-M coefficients of the connectivity cuts
-    small = (
-        sum(count_eq.values())
-        + handle.d * len(count_ge)
-        + 2 * handle.system.nfa.n_states
-        + 2
+        return sig in handle.signatures
+    spec = handle.spec
+    return _meets(
+        spec.nfa, spec.i1, spec.f1, {sig}, handle.k, handle.d, handle.state_budget
     )
-    res = pk.feasible(
-        handle.system,
-        count_eq,
-        count_ge,
-        count_zero_rest=True,
-        cap=min(handle.cap, small),
-    )
-    if res.status == pk.SAT:
-        return True
-    if res.status == pk.UNSAT:
-        return False
-    return None
 
 
 def separator_automaton(handle, budget=100_000):

@@ -18,7 +18,7 @@ from ltsep.monoid import (
     threshold_bound,
     transition_monoid,
 )
-from ltsep.profiles import AnnotationBudgetError, equivalent, profile_at
+from ltsep.profiles import equivalent, profile_at
 from ltsep import parikh as pk
 from ltsep.reduction import build_reduced
 from ltsep.separ import (
@@ -351,18 +351,14 @@ def test_criterion_8_cross_path_agreement(capsys):
             asz ** j for j in range(min(kr, 40) + 1)
         )
         if 2 * n * windows <= 25_000:
-            try:
-                direct = decide_fixed(spec, k, 1)
-            except AnnotationBudgetError:
-                direct = None
-            if direct is not None:
-                vlt = decide_lt(spec)
-                if direct.separable is None or vlt.separable is None:
-                    unknown += 1
-                else:
-                    lt_checked += 1
-                    if direct.separable != vlt.separable:
-                        lt_bad += 1
+            direct = decide_fixed(spec, k, 1)
+            vlt = decide_lt(spec)
+            if direct.separable is None or vlt.separable is None:
+                unknown += 1
+            else:
+                lt_checked += 1
+                if direct.separable != vlt.separable:
+                    lt_bad += 1
         # full-threshold verdict vs fixed-threshold matching at d = 1..8
         vltt = decide_ltt(spec)
         red = build_reduced(spec)

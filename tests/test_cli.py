@@ -139,6 +139,14 @@ class TestDecide:
         doc = _json_out(capsys)
         assert doc["k"] == 1 and doc["d"] == 1
 
+    def test_fixed_state_budget_exits_unknown(self, parity_file, capsys):
+        argv = ["decide", parity_file, "--class", "fixed", "--k", "4", "--d", "1",
+                "--state-budget", "3", "--json"]
+        assert main(argv) == EXIT_UNKNOWN
+        doc = _json_out(capsys)
+        assert doc["status"] == "unknown"
+        assert doc["flags"] == ["state-budget"]
+
     def test_json_bit_identical_without_timing(self, parity_file, capsys):
         main(["decide", parity_file, "--json", "--no-timing"])
         first = capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Decision engine: fixed-parameter verdicts, full LT/LTT verdicts,
 witness validity, and separator handles."""
 
+import dataclasses
 import random
 
 import pytest
 
+from ltsep import parikh as pk
 from ltsep.automata import LangSpec, Nfa, accepts
 from ltsep.profiles import (
     capped_image,
@@ -284,21 +286,23 @@ class TestSigProbe:
 
 
 class TestProbeHandle:
-    """Membership on the fallback's probe handles, checked against the
-    signature sets and against the flow-model handle of decide_fixed."""
+    """Membership on the fallback's probe handle and on decide_fixed's
+    handle, checked against the signature sets and the explicit automaton,
+    with no MILP solve allowed."""
 
     @pytest.mark.parametrize("spec, decide", [
         (gen_threshold_family(1), decide_ltt),
         (gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1)))), decide_lt),
     ], ids=["threshold-1", "sat-core"])
-    def test_membership_matches_references(self, spec, decide):
+    def test_membership_matches_references(self, spec, decide, monkeypatch):
         v = decide(spec)
         assert v.separable is True and v.notes["via"] == "fixed-probe"
-        handle = v.separator
-        k, d = handle.k, handle.d
+        probe_handle = v.separator
+        k, d = probe_handle.k, probe_handle.d
+        fixed_handle = decide_fixed(spec, k, d).separator
+        assert fixed_handle.signatures is None
         sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
-        flow_handle = decide_fixed(spec, k, d).separator
-        nfa, i, f = separator_automaton(handle)
+        nfa, i, f = separator_automaton(probe_handle)
         sigma = spec.nfa.alphabet
         rng = random.Random(11)
         words = [
@@ -306,15 +310,26 @@ class TestProbeHandle:
             for _ in range(100)
         ]
         words += sample_words(spec.nfa, spec.i1, spec.f1, 10, rng)
+
+        def no_solve(_model):
+            raise AssertionError("membership solved a MILP")
+
+        monkeypatch.setattr(pk.MipModel, "solve", no_solve)
+        handles = (probe_handle, fixed_handle)
         for w in words:
             expect = signature_of(w, k, d) in sigs
-            assert separator_membership(handle, w) is expect, w
-            assert separator_membership(flow_handle, w) is expect, w
             assert accepts(nfa, i, f, w) == expect, w
-        members = sum(separator_membership(handle, w) for w in words)
+            for handle in handles:
+                assert separator_membership(handle, w) is expect, w
+        members = sum(signature_of(w, k, d) in sigs for w in words)
         assert 0 < members < len(words)
-        with pytest.raises(ValueError):
-            separator_membership(handle, ("z",))
+        for handle in handles:
+            with pytest.raises(ValueError):
+                separator_membership(handle, ("z",))
+        # past its state budget the search answers None, never a guess
+        starved = dataclasses.replace(fixed_handle, state_budget=1)
+        member = next(w for w in words if w and signature_of(w, k, d) in sigs)
+        assert separator_membership(starved, member) is None
 
 
 class TestEngineConfig:
@@ -336,3 +351,10 @@ class TestEngineConfig:
         for v in (decide_fixed(spec, 1, 1, cfg), decide_lt(spec, cfg), decide_ltt(spec, cfg)):
             assert v.separable is None
             assert v.flags == ["box-bound"], v.problem
+
+    def test_state_budget_gives_unknown(self):
+        # annotation past the state budget answers unknown with a flag
+        v = decide_fixed(gen_parity(), 4, 1, EngineConfig(state_budget=3))
+        assert v.separable is None
+        assert v.flags == ["state-budget"]
+        assert (v.k, v.d) == (4, 1)
