@@ -4,6 +4,7 @@ Initial and final state sets are kept outside the automaton, so a single
 transition structure can carry several languages L(nfa, I, F).
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -89,7 +90,9 @@ def accepts(nfa, i, f, w):
 def product(a, b):
     """Cartesian product of two NFAs over the same alphabet.
 
-    Returns (nfa, pair_index) where pair_index maps (p, q) -> product state.
+    Returns (nfa, pair_index) where pair_index maps (p, q) -> product state
+    p * b.n_states + q.  The decision engine does not build it: it searches
+    L1 ∩ L2 over reachable pairs only (shortest_common_word).
     """
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise ValueError("alphabet mismatch in product")
@@ -150,21 +153,20 @@ def is_empty(nfa, i, f):
     return not (reachable(nfa, i) & set(f))
 
 
-def shortest_word(nfa, i, f):
-    """A shortest word of L(nfa, i, f), or None if the language is empty."""
-    from collections import deque
+def _bfs_word(i, f, succ):
+    """A shortest word from the state set i to a state in f, or None.
 
-    i, f = set(i), set(f)
-    if i & f:
+    succ(p) lists p's (letter, successor) pairs in sorted order; states are
+    met breadth first in that order from i, iterated as a copied set.
+    """
+    i = set(i)
+    if not i.isdisjoint(f):
         return ()
-    succ = {}
-    for (p, a, q) in nfa.transitions:
-        succ.setdefault(p, []).append((a, q))
     back = {q: None for q in i}
     queue = deque(i)
     while queue:
         p = queue.popleft()
-        for (a, q) in sorted(succ.get(p, ())):
+        for (a, q) in succ(p):
             if q not in back:
                 back[q] = (p, a)
                 if q in f:
@@ -177,6 +179,42 @@ def shortest_word(nfa, i, f):
                     return tuple(word)
                 queue.append(q)
     return None
+
+
+def shortest_word(nfa, i, f):
+    """A shortest word of L(nfa, i, f), or None if the language is empty."""
+    succ = {}
+    for (p, a, q) in nfa.transitions:
+        succ.setdefault(p, []).append((a, q))
+    for out in succ.values():
+        out.sort()
+    return _bfs_word(i, set(f), lambda p: succ.get(p, ()))
+
+
+def shortest_common_word(nfa, i1, f1, i2, f2):
+    """A shortest word of L(nfa, i1, f1) ∩ L(nfa, i2, f2), or None.
+
+    Only the state pairs reachable from i1 × i2 are built, as the search
+    meets them.  A pair (p, q) is numbered p * n + q as in product, so the
+    word is the one shortest_word returns on product(nfa, nfa).
+    """
+    n = nfa.n_states
+    delta = nfa.delta()
+
+    def succ(x):
+        p, q = divmod(x, n)
+        return sorted(
+            (a, p2 * n + q2)
+            for a in nfa.alphabet
+            for p2 in delta.get((p, a), ())
+            for q2 in delta.get((q, a), ())
+        )
+
+    return _bfs_word(
+        {p * n + q for p in i1 for q in i2},
+        {p * n + q for p in f1 for q in f2},
+        succ,
+    )
 
 
 def trim(nfa, isets, fsets):

@@ -10,7 +10,8 @@ checkable witness (a word pair, or a pattern that pumps into word pairs).
 from dataclasses import dataclass, field
 from functools import cache
 
-from .automata import LangSpec, Nfa, accepts, product, shortest_word
+from .automata import LangSpec, Nfa, accepts, shortest_common_word
+from .automata import product  # not called here; bench/tracing.py wraps separ.product
 from .monoid import transition_monoid, profile_width_bound, MonoidBudgetError
 from .profiles import (
     annotate,
@@ -145,14 +146,6 @@ def decide_fixed(spec, k, d, cfg=None):
     return Verdict("fixed", None, k, d, flags=_budget_flags(res))
 
 
-def _intersection_witness(spec):
-    """A word of L1 ∩ L2, or None."""
-    prod, ix = product(spec.nfa, spec.nfa)
-    i = {ix[(p, q)] for p in spec.i1 for q in spec.i2}
-    f = {ix[(p, q)] for p in spec.f1 for q in spec.f2}
-    return shortest_word(prod, i, f)
-
-
 def _reduced_systems(red):
     sys1 = pk.flow_system(red.nfa, red.i1, red.f1)
     sys2 = pk.flow_system(red.nfa, red.i2, red.f2)
@@ -168,7 +161,7 @@ def _decide_full(spec, cfg, problem, settle):
     settle(spec, red, cfg, sys1, sys2, letters) runs the problem's matching.
     """
     cfg = _cfg(cfg)
-    common = _intersection_witness(spec)
+    common = shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
     if common is not None:
         return Verdict(
             problem, False, 1, "limit" if problem == "ltt" else 1,

@@ -18,9 +18,11 @@ from ltsep.automata import (
     product,
     reachable,
     serialize_spec,
+    shortest_common_word,
     shortest_word,
     trim,
 )
+from ltsep.testkit import Cnf3, gen_random, gen_sat_instance
 
 PARITY_TEXT = """\
 # even-length vs odd-length words over a single letter
@@ -154,6 +156,64 @@ class TestProduct:
                     s.nfa, s.i2, s.f2, w
                 )
                 assert accepts(prod, pi, pf, w) == both
+
+
+def _product_common_word(spec):
+    """The shortest word of L1 ∩ L2 searched on the full product."""
+    prod, ix = product(spec.nfa, spec.nfa)
+    i = {ix[(p, q)] for p in spec.i1 for q in spec.i2}
+    f = {ix[(p, q)] for p in spec.f1 for q in spec.f2}
+    return shortest_word(prod, i, f)
+
+
+def _common_word(spec):
+    return shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+
+
+class TestCommonWord:
+    def test_random_specs_match_product_search(self):
+        rng = random.Random(10)
+        found = 0
+        for seed in range(300):
+            spec = gen_random(
+                seed, rng.randint(1, 7), rng.randint(1, 3), rng.choice((0.2, 0.3, 0.5))
+            )
+            w = _common_word(spec)
+            assert w == _product_common_word(spec), seed
+            found += w is not None
+        assert 0 < found < 300
+
+    def test_sat_encodings_match_product_search(self):
+        full = tuple(
+            (s1, 2 * s2, 3 * s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
+        )
+        for cnf in (
+            Cnf3(3, full),
+            Cnf3(1, ((1, 1, 1), (-1, -1, -1))),
+            Cnf3(5, ((1, 1, 1), (-1, -1, -1), (2, -3, 4), (-2, 5, 5))),
+            Cnf3(4, ((1, 2, 3), (-1, -2, 4), (2, 3, -4))),
+            Cnf3(2, ((1, 2, 2),)),
+        ):
+            spec = gen_sat_instance(cnf)
+            assert _common_word(spec) == _product_common_word(spec), cnf
+
+    @pytest.mark.parametrize(
+        "args, word",
+        [
+            ((188, 7, 3, 0.2), ("b",)),
+            ((1130, 5, 2, 0.5), ("b",)),
+            ((1711, 7, 2, 0.3), ("b",)),
+            ((1947, 6, 3, 0.5), ("a",)),
+            ((2447, 6, 3, 0.3), ("b",)),
+            ((2506, 7, 2, 0.3), ("b",)),
+        ],
+    )
+    def test_start_set_order_decides_the_word(self, args, word):
+        # several one-letter words are common here; which one comes first
+        # depends on how the start pairs are iterated
+        spec = gen_random(*args)
+        assert _common_word(spec) == word
+        assert _product_common_word(spec) == word
 
 
 class TestReachability:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ltsep import parikh as pk
+from ltsep import separ
 from ltsep.automata import LangSpec, Nfa, accepts
 from ltsep.profiles import (
     capped_image,
@@ -185,6 +186,25 @@ class TestDecideFull:
                     assert accepts(spec.nfa, spec.i1, spec.f1, w1)
                     assert accepts(spec.nfa, spec.i2, spec.f2, w2)
                     assert equivalent(w1, w2, 1, 1)
+
+    def test_intersection_check_builds_no_product(self, monkeypatch):
+        # the languages of the first encoding intersect, of the second not
+        common = gen_sat_instance(Cnf3(2, ((1, 2, 2),)))
+        disjoint = gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1))))
+
+        def no_product(*args):
+            raise AssertionError("the full product was built")
+
+        monkeypatch.setattr(separ, "product", no_product)
+        for decide, d in ((decide_ltt, "limit"), (decide_lt, 1)):
+            v = decide(common)
+            assert (v.separable, v.k, v.d) == (False, 1, d)
+            assert v.witness.word == ("x1", "pad", "!x2", "pad")
+            assert v.notes == {"reason": "nonempty intersection"}
+            v = decide(disjoint)
+            assert (v.separable, v.k, v.d) == (True, 1, 1)
+            assert v.notes == {"via": "fixed-probe"}
+            assert v.separator is not None
 
     def test_fallback_probes_threshold_three(self):
         # the threshold family at m = 1 is past the reduction budget and
