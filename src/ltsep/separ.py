@@ -114,11 +114,40 @@ def _budget_flags(res):
     return ["solver-budget"] if res.status == pk.UNKNOWN else ["box-bound"]
 
 
+def _common_word(spec):
+    """A shortest word of L1 ∩ L2, re-verified on both sides, or None.
+
+    A separator contains L1 and is disjoint from L2, so a common word rules
+    one out at every (k, d) and in every class; every decision asks this
+    first.
+    """
+    w = shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+    if w is not None and not (
+        accepts(spec.nfa, spec.i1, spec.f1, w) and accepts(spec.nfa, spec.i2, spec.f2, w)
+    ):
+        raise RuntimeError("common word failed re-verification")
+    return w
+
+
 def decide_fixed(spec, k, d, cfg=None):
-    """Is there no pair w1 in L1, w2 in L2 with equal capped k-profile images?"""
-    cfg = _cfg(cfg)
+    """Is there no pair w1 in L1, w2 in L2 with equal capped k-profile images?
+
+    Like every decision, this first looks for a common word w of L1 and
+    L2, which answers inseparable with the pair (w, w) at any (k, d).  Only
+    disjoint languages are annotated at width k and matched in the flow
+    model, so only they can answer unknown.
+    """
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
+    common = _common_word(spec)
+    if common is not None:
+        return Verdict("fixed", False, k, d, witness=WitnessPair(common, common, k, d))
+    return _decide_fixed_by_flow(spec, k, d, _cfg(cfg))
+
+
+def _decide_fixed_by_flow(spec, k, d, cfg):
+    """Fixed-(k,d) separability by a match of the two sides' flow models,
+    each annotated with its width-k profiles, at threshold d."""
     try:
         ann1, sys1 = annotated_side(spec, 1, k, cfg)
         ann2, sys2 = annotated_side(spec, 2, k, cfg)
@@ -161,11 +190,11 @@ def _decide_full(spec, cfg, problem, settle):
     settle(spec, red, cfg, sys1, sys2, letters) runs the problem's matching.
     """
     cfg = _cfg(cfg)
-    common = shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+    common = _common_word(spec)
     if common is not None:
         return Verdict(
             problem, False, 1, "limit" if problem == "ltt" else 1,
-            witness=DPattern(word=tuple(common), d=1, origin=spec),
+            witness=DPattern(word=common, d=1, origin=spec),
             notes={"reason": "nonempty intersection"},
         )
     try:

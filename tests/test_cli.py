@@ -139,6 +139,15 @@ class TestDecide:
         doc = _json_out(capsys)
         assert doc["k"] == 1 and doc["d"] == 1
 
+    def test_fixed_class_common_word(self, tmp_path, capsys):
+        path = tmp_path / "common.txt"
+        path.write_text(serialize_spec(gen_random(28, 3, 2, 0.3)))
+        argv = ["decide", str(path), "--class", "fixed", "--k", "2", "--d", "1", "--json"]
+        assert main(argv) == EXIT_INSEPARABLE
+        wit = _json_out(capsys)["witness"]
+        assert wit["type"] == "pair"
+        assert wit["w1"] == wit["w2"] == ["a", "b"]
+
     def test_fixed_state_budget_exits_unknown(self, parity_file, capsys):
         argv = ["decide", parity_file, "--class", "fixed", "--k", "4", "--d", "1",
                 "--state-budget", "3", "--json"]

@@ -8,7 +8,8 @@ import pytest
 
 from ltsep import parikh as pk
 from ltsep import separ
-from ltsep.automata import LangSpec, Nfa, accepts
+from ltsep.automata import LangSpec, Nfa, accepts, shortest_common_word
+from ltsep.monoid import profile_width_bound, transition_monoid
 from ltsep.profiles import (
     capped_image,
     equivalent,
@@ -52,6 +53,15 @@ def _one_versus_two_b():
         (0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 2), (2, "a", 2),
     ]))
     return LangSpec(nfa, frozenset([0]), frozenset([1]), frozenset([0]), frozenset([2]))
+
+
+def _criterion_8_spec(seed):
+    """Criterion 8's spec at generator seed 10,000 + seed, as the
+    fixed-direct benchmark builds it."""
+    rng = random.Random(8000)
+    for s in range(seed + 1):
+        spec = gen_random(10_000 + s, rng.randint(1, 3), rng.randint(1, 2), 0.4)
+    return spec
 
 
 class TestDecideFixed:
@@ -99,6 +109,36 @@ class TestDecideFixed:
         v = decide_fixed(spec, 1, 2)
         assert v.separable is True
         assert exact_fixed_oracle(spec, 1, 2) == "separable"
+
+    @pytest.mark.parametrize("spec", [
+        _criterion_8_spec(2), _criterion_8_spec(7), gen_random(28, 3, 2, 0.3),
+    ], ids=["c10002", "c10007", "random-28"])
+    def test_common_word_decides_before_the_flow_model(self, spec, monkeypatch):
+        def no_flow_model(*args):
+            raise AssertionError("the flow model was built")
+
+        monkeypatch.setattr(separ, "annotate", no_flow_model)
+        monkeypatch.setattr(pk.MipModel, "solve", no_flow_model)
+        common = shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2)
+        assert common is not None
+        width = profile_width_bound(transition_monoid(spec.nfa))
+        for k, d in ((1, 1), (2, 2), (width, 1)):
+            v = decide_fixed(spec, k, d)
+            assert (v.status, v.k, v.d, v.flags) == ("inseparable", k, d, [])
+            assert v.witness == WitnessPair(common, common, k, d)
+
+    def test_flow_model_agrees_with_signature_oracle(self):
+        # criterion 3's 200 instances, intersecting ones included, through
+        # the flow model alone: decide_fixed settles most of them earlier
+        rng = random.Random(3000)
+        seen = set()
+        for seed in range(200):
+            spec = gen_random(seed, rng.randint(1, 4), rng.randint(1, 2), 0.35)
+            k, d = rng.randint(1, 2), rng.randint(1, 2)
+            v = separ._decide_fixed_by_flow(spec, k, d, EngineConfig())
+            assert v.status == exact_fixed_oracle(spec, k, d), (seed, k, d)
+            seen.add(v.status)
+        assert seen == {"separable", "inseparable"}
 
     def test_agrees_with_signature_oracle(self):
         rng = random.Random(88)
@@ -371,6 +411,12 @@ class TestEngineConfig:
         for v in (decide_fixed(spec, 1, 1, cfg), decide_lt(spec, cfg), decide_ltt(spec, cfg)):
             assert v.separable is None
             assert v.flags == ["box-bound"], v.problem
+
+    def test_state_budget_spares_intersecting_specs(self):
+        # a common word decides before any annotation, so no budget is spent
+        v = decide_fixed(gen_random(28, 3, 2, 0.3), 4, 1, EngineConfig(state_budget=3))
+        assert (v.status, v.flags) == ("inseparable", [])
+        assert (v.witness.w1, v.witness.w2) == (("a", "b"), ("a", "b"))
 
     def test_state_budget_gives_unknown(self):
         # annotation past the state budget answers unknown with a flag
