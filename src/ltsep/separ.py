@@ -8,7 +8,7 @@ checkable witness (a word pair, or a pattern that pumps into word pairs).
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, lru_cache
 
 from .automata import LangSpec, Nfa, accepts, shortest_common_word
 from .automata import product  # not called here; bench/tracing.py wraps separ.product
@@ -41,7 +41,7 @@ DOUBLING_MAX = 4096
 PROBE_SCHEDULE = ((1, 1), (1, 2), (2, 1), (1, 3))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Budgets for the decision pipelines: states for profile annotation,
     signature enumeration and membership search, and the solver's box cap."""
@@ -182,31 +182,88 @@ def _reduced_systems(red):
     return sys1, sys2, letters
 
 
+class _Evidence:
+    """The work toward an LT or LTT verdict on one spec that does not depend
+    on the class asked, each part computed on first use and kept.
+
+    Verdicts are built afresh from these parts on every call.
+    """
+
+    def __init__(self, spec, cfg):
+        self.spec = spec
+        self.cfg = cfg
+        self._matches = {}
+        self._probes = {}
+
+    @cached_property
+    def common(self):
+        return _common_word(self.spec)
+
+    @cached_property
+    def reduced(self):
+        """(reduced automaton, sys1, sys2, letters), or None past the sync
+        budget."""
+        try:
+            red = build_reduced(self.spec)
+        except SyncBudgetError:
+            return None
+        return (red, *_reduced_systems(red))
+
+    def match(self, d):
+        """The exact match at threshold d on the reduced automaton."""
+        if d not in self._matches:
+            _red, sys1, sys2, letters = self.reduced
+            self._matches[d] = pk.match_fixed(sys1, sys2, letters, d, self.cfg.solver_cap)
+        return self._matches[d]
+
+    def probe(self, k, d):
+        if (k, d) not in self._probes:
+            self._probes[(k, d)] = _sig_probe(self.spec, k, d, self.cfg)
+        return self._probes[(k, d)]
+
+    @cached_property
+    def pool(self):
+        """(pool automaton, sys1, sys2, its exact match at every threshold)."""
+        pool = build_reduced_pool(self.spec)
+        sys1, sys2, letters = _reduced_systems(pool)
+        return pool, sys1, sys2, pk.match_fixed(sys1, sys2, letters, None, self.cfg.solver_cap)
+
+
+@lru_cache(maxsize=1)
+def _evidence(spec, cfg):
+    """The evidence record of the last spec asked, so that LT and LTT on one
+    spec share their class-independent work; a new spec replaces it."""
+    return _Evidence(spec, cfg)
+
+
 def _decide_full(spec, cfg, problem, settle):
     """The LT/LTT pipeline shared by both problems.
 
     A common word decides inseparability at once; otherwise the reduced
     automaton is built (the fallback takes over past its budget) and
-    settle(spec, red, cfg, sys1, sys2, letters) runs the problem's matching.
+    settle(spec, cfg) runs the problem's matching.  The common word, the
+    reduction, its exact matches and the fallback's probes and pool match
+    come from the spec's evidence record, so deciding the other class on
+    the same spec next reuses them.
     """
     cfg = _cfg(cfg)
-    common = _common_word(spec)
-    if common is not None:
+    ev = _evidence(spec, cfg)
+    if ev.common is not None:
         return Verdict(
             problem, False, 1, "limit" if problem == "ltt" else 1,
-            witness=DPattern(word=common, d=1, origin=spec),
+            witness=DPattern(word=ev.common, d=1, origin=spec),
             notes={"reason": "nonempty intersection"},
         )
-    try:
-        red = build_reduced(spec)
-    except SyncBudgetError:
+    if ev.reduced is None:
         return _fallback(spec, cfg, problem=problem)
-    return settle(spec, red, cfg, *_reduced_systems(red))
+    return settle(spec, cfg)
 
 
-def _settle_lt(spec, red, cfg, sys1, sys2, letters):
+def _settle_lt(spec, cfg):
     """LT: an exact match at threshold 1 on the reduced automaton."""
-    res = pk.match_fixed(sys1, sys2, letters, 1, cfg.solver_cap)
+    ev = _evidence(spec, cfg)
+    red, sys1, sys2, _letters = ev.reduced
+    res = ev.match(1)
     if res.status == pk.SAT:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)
@@ -226,9 +283,11 @@ def _settle_lt(spec, red, cfg, sys1, sys2, letters):
     return Verdict("lt", None, 1, 1, flags=_budget_flags(res))
 
 
-def _settle_ltt(spec, red, cfg, sys1, sys2, letters):
+def _settle_ltt(spec, cfg):
     """LTT: a pump certificate on the reduced automaton, or else the least
     doubled threshold at which no exact match exists."""
+    ev = _evidence(spec, cfg)
+    red, sys1, sys2, letters = ev.reduced
     res = pk.match_limit(sys1, sys2, letters, cfg.solver_cap)
     if res.status == pk.SAT:
         cert = res.assignment1
@@ -250,7 +309,7 @@ def _settle_ltt(spec, red, cfg, sys1, sys2, letters):
     # no pump certificate: find a concrete failing threshold by doubling
     d = 1
     while d <= DOUBLING_MAX:
-        probe = pk.match_fixed(sys1, sys2, letters, d, cfg.solver_cap)
+        probe = ev.match(d)
         if probe.status == pk.UNSAT and probe.certain:
             return Verdict(
                 "ltt", True, 1, d,
@@ -330,15 +389,18 @@ def _fallback(spec, cfg, problem):
     probe's signature set of L1.  Inseparability side: an exactly-matching
     word pair over the partial reduced automaton decodes to a common pattern
     at every threshold (sound for both LT and LTT).  Neither side is
-    complete; exhaustion reports unknown.
+    complete; exhaustion reports unknown.  The probes and the pool match
+    come from the spec's evidence record, so LT and LTT on one spec make
+    each of them once.
     """
+    ev = _evidence(spec, cfg)
     flags = ["reduction-budget"]
     schedule = PROBE_SCHEDULE if problem == "ltt" else tuple(
         dict.fromkeys((k, 1) for (k, _d) in PROBE_SCHEDULE)
     )
 
     def probe_verdict(k, d):
-        sigs = _sig_probe(spec, k, d, cfg)
+        sigs = ev.probe(k, d)
         if sigs is None or sigs is False:
             return None
         handle = SeparatorHandle(k, d, spec, cfg.state_budget, signatures=sigs)
@@ -352,9 +414,7 @@ def _fallback(spec, cfg, problem):
     v = probe_verdict(*schedule[0])
     if v is not None:
         return v
-    pool = build_reduced_pool(spec)
-    sys1, sys2, letters = _reduced_systems(pool)
-    res = pk.match_fixed(sys1, sys2, letters, None, cfg.solver_cap)
+    pool, sys1, sys2, res = ev.pool
     if res.status == pk.SAT:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)

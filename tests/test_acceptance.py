@@ -12,7 +12,7 @@ import sys
 import time
 from functools import lru_cache
 
-from ltsep.automata import accepts
+from ltsep.automata import accepts, shortest_common_word
 from ltsep.monoid import (
     profile_width_bound,
     threshold_bound,
@@ -336,7 +336,7 @@ def test_criterion_7_separator_soundness(capsys):
 def test_criterion_8_cross_path_agreement(capsys):
     t0 = time.monotonic()
     rng = random.Random(8000)
-    lt_checked = lt_bad = ltt_bad = unknown = 0
+    lt_checked = lt_disjoint = lt_bad = ltt_bad = unknown = 0
     for seed in range(100):
         spec = gen_random(
             10_000 + seed, rng.randint(1, 3), rng.randint(1, 2), 0.4
@@ -357,6 +357,11 @@ def test_criterion_8_cross_path_agreement(capsys):
                 unknown += 1
             else:
                 lt_checked += 1
+                # on disjoint languages both sides get past the common word,
+                # so only these compare the flow model with decide_lt
+                lt_disjoint += shortest_common_word(
+                    spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2
+                ) is None
                 if direct.separable != vlt.separable:
                     lt_bad += 1
         # full-threshold verdict vs fixed-threshold matching at d = 1..8
@@ -375,14 +380,17 @@ def test_criterion_8_cross_path_agreement(capsys):
             unknown += 1
         elif (vltt.separable is False) != allsat:
             ltt_bad += 1
-    ok = lt_bad == 0 and ltt_bad == 0 and unknown == 0 and lt_checked >= 10
+    ok = (
+        lt_bad == 0 and ltt_bad == 0 and unknown == 0
+        and lt_checked >= 10 and lt_disjoint >= 9
+    )
     _report(
         capsys,
         8,
         ok,
-        "100 specs, %d direct-path checks, %d lt / %d ltt mismatches, "
-        "%d unknown, %.1fs"
-        % (lt_checked, lt_bad, ltt_bad, unknown, time.monotonic() - t0),
+        "100 specs, %d direct-path checks (%d on disjoint languages), "
+        "%d lt / %d ltt mismatches, %d unknown, %.1fs"
+        % (lt_checked, lt_disjoint, lt_bad, ltt_bad, unknown, time.monotonic() - t0),
     )
     assert ok
 

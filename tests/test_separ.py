@@ -8,7 +8,14 @@ import pytest
 
 from ltsep import parikh as pk
 from ltsep import separ
-from ltsep.automata import LangSpec, Nfa, accepts, shortest_common_word
+from ltsep.automata import (
+    LangSpec,
+    Nfa,
+    accepts,
+    parse_spec,
+    serialize_spec,
+    shortest_common_word,
+)
 from ltsep.monoid import profile_width_bound, transition_monoid
 from ltsep.profiles import (
     capped_image,
@@ -424,3 +431,99 @@ class TestEngineConfig:
         assert v.separable is None
         assert v.flags == ["state-budget"]
         assert (v.k, v.d) == (4, 1)
+
+
+# a satisfiable formula decided through the fallback's pool exact match
+SAT_POOL_CNF = Cnf3(6, ((6, -1, -4), (-1, -1, -5), (4, 5, 5)))
+
+
+def _reparsed(spec):
+    """An equal spec that shares no object with the original."""
+    copy = parse_spec(serialize_spec(spec))
+    assert copy == spec and copy is not spec
+    return copy
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def _fields(v):
+    return (v.status, v.k, v.d, v.flags, v.notes, v.witness)
+
+
+class TestEvidenceMemo:
+    """LT and LTT on one spec share the class-independent work through the
+    evidence record of the last spec asked."""
+
+    def test_pool_path_is_not_repeated(self, monkeypatch):
+        spec = gen_sat_instance(SAT_POOL_CNF)
+        calls = {}
+        for owner, name in ((separ, "_sig_probe"), (separ, "build_reduced_pool"),
+                            (pk.MipModel, "solve")):
+            _count_calls(monkeypatch, owner, name, calls)
+        vltt = decide_ltt(spec)
+        assert vltt.notes == {"via": "exact-match-pool"}
+        assert set(calls) == {"_sig_probe", "build_reduced_pool", "solve"}
+        calls.clear()
+        vlt = decide_lt(_reparsed(spec))
+        assert calls == {}
+        assert (vlt.status, vlt.notes) == ("inseparable", {"via": "exact-match-pool"})
+
+    def test_reduction_is_not_repeated(self, monkeypatch):
+        spec = gen_random(22, 5, 1, 0.3)
+        calls = {}
+        _count_calls(monkeypatch, separ, "build_reduced", calls)
+        assert decide_ltt(spec).notes == {"usable_threshold": 1, "on": "reduced"}
+        assert decide_lt(_reparsed(spec)).status == "separable"
+        assert calls == {"build_reduced": 1}
+
+    @pytest.mark.parametrize("spec", [
+        gen_sat_instance(SAT_POOL_CNF),
+        gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1)))),
+        gen_random(22, 5, 1, 0.3),
+        gen_parity(),
+        gen_threshold_family(1),
+        _fork_spec(),
+    ], ids=["sat-pool", "sat-core", "reduce-r22", "parity", "threshold-1", "fork"])
+    def test_memo_verdicts_equal_fresh_ones(self, spec):
+        for first, second in ((decide_ltt, decide_lt), (decide_lt, decide_ltt)):
+            separ._evidence.cache_clear()
+            fresh = _fields(second(spec))
+            separ._evidence.cache_clear()
+            first(spec)
+            assert _fields(second(_reparsed(spec))) == fresh
+
+    def test_memo_holds_one_spec(self, monkeypatch):
+        a, b = gen_random(22, 5, 1, 0.3), gen_random(29, 5, 1, 0.3)
+        calls = {}
+        _count_calls(monkeypatch, separ, "build_reduced", calls)
+        decide_ltt(a)
+        decide_ltt(b)
+        assert separ._evidence.cache_info().currsize == 1
+        decide_lt(a)
+        assert calls == {"build_reduced": 3}
+
+    def test_configs_share_nothing(self):
+        spec = gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1))))
+        assert decide_lt(spec).notes == {"via": "fixed-probe"}
+        v = decide_lt(spec, EngineConfig(state_budget=1))
+        assert v.status == "unknown"
+        assert v.flags == ["reduction-budget", "search-exhausted"]
+
+    @pytest.mark.parametrize("spec", [
+        gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1)))), gen_parity(),
+    ], ids=["fallback", "reduced"])
+    def test_verdicts_do_not_share_notes_or_flags(self, spec):
+        for decide in (decide_lt, decide_ltt):
+            first, second = decide(spec), decide(spec)
+            kept = (list(second.flags), dict(second.notes))
+            first.flags.append("mutated")
+            first.notes["mutated"] = True
+            assert (second.flags, second.notes) == kept
