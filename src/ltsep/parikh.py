@@ -9,9 +9,13 @@ over all thresholds via pump certificates), and reconstructs witness words
 from feasible flows.
 
 Connectivity of the used-edge subgraph to the chosen source has two
-encodings.  The two-sided matches (match_fixed, match_limit) add cut rows
-lazily: solve, check the support of the solution, and forbid disconnected
-supports until the support is connected.  The one-sided query (feasible)
+encodings.  The two-sided matches (match_fixed, match_limit) start from one
+row per state of each strongly connected component that holds no initial
+state (_ConnReq.seed: flow inside the component needs flow entering it),
+then add cut rows lazily: solve, check the support of the solution, and
+forbid disconnected supports until the support is connected.  Both kinds
+of row hold for every connected flow, so neither changes the feasible set
+or the optimum.  The one-sided query (feasible)
 adds a commodity flow up front (_add_support_reach) and solves once; the
 engine no longer calls it (separator membership is an exact window search
 in separ), but the benchmark's tracer still wraps it by name, so it stays
@@ -272,8 +276,41 @@ class _ConnReq:
         unreached = support - seen
         return unreached or None
 
+    def seed(self, model):
+        """Add the rows every connected flow satisfies, before the first solve.
+
+        Take a strongly connected component C that holds no initial state.
+        A connected flow that uses an out-edge of a state q inside C reaches
+        q from the source, outside C, so some edge entering C carries flow.
+        Each variable is at most cap, so for each such q the row says: the
+        variables of q's out-edges inside C sum to at most cap times their
+        number times the variables of the edges entering C.  Cut rounds
+        remain for disconnected cycles these rows do not catch.
+        """
+        comp = _components(self.system)
+        initial = {comp[q] for q in self.src_vars}
+        inside = {}  # state -> variables of its out-edges inside its component
+        entering = {}  # component -> variables of the edges entering it
+        for (p, _a, q), grp in zip(self.system.edges, self.var_groups):
+            if comp[p] == comp[q]:
+                inside.setdefault(p, []).extend(grp)
+            else:
+                entering.setdefault(comp[q], []).extend(grp)
+        for q, out in inside.items():
+            if comp[q] in initial:
+                continue
+            terms = dict.fromkeys(out, 1)
+            for v in entering.get(comp[q], ()):
+                terms[v] = -self.cap * len(out)
+            model.add_le(terms, 0)
+
     def add_cut(self, model, comp):
-        """Forbid flow into comp without entering flow or an in-comp source."""
+        """Forbid flow into comp without entering flow or an in-comp source.
+
+        Each row bounds one internal edge's group of variables, whose sum
+        can reach cap times the group's size, so one unit of entering flow
+        or a source inside comp must allow that much.
+        """
         self.comps.append(comp)
         entering = []
         for e, grp in zip(self.system.edges, self.var_groups):
@@ -282,18 +319,22 @@ class _ConnReq:
         srcs = [v for q, v in self.src_vars.items() if q in comp]
         for e, grp in zip(self.system.edges, self.var_groups):
             if e[2] in comp and e[0] in comp:
+                big = self.cap * len(grp)
                 terms = {}
                 for v in grp:
                     terms[v] = terms.get(v, 0) + 1
                 for v in entering:
-                    terms[v] = terms.get(v, 0) - self.cap
+                    terms[v] = terms.get(v, 0) - big
                 for v in srcs:
-                    terms[v] = terms.get(v, 0) - self.cap * len(grp)
+                    terms[v] = terms.get(v, 0) - big
                 model.add_le(terms, 0)
 
 
 def _solve_connected(model, reqs, max_rounds=200):
-    """Solve, adding connectivity cuts until every requirement holds."""
+    """Seed each requirement's rows, then solve, adding connectivity cuts
+    until every requirement holds."""
+    for req in reqs:
+        req.seed(model)
     for _ in range(max_rounds):
         sol = model.solve()
         if sol is None:
@@ -402,17 +443,11 @@ class MatchResult:
     certain: bool = True  # UNSAT answers: whether the box bound was generous
 
 
-def _letter_bounds(system):
-    """Map each letter to an upper bound on its count over the language.
+def _components(system):
+    """Map each state of system to a representative of its strongly
+    connected component.
 
-    The bound is None when the count is unbounded.  A word of the language
-    is a path from an initial to a final state, and a path can repeat an
-    edge without limit exactly when the edge lies on a cycle: a self-loop,
-    or an edge whose endpoints share a strongly connected component.  Any
-    other edge is crossed at most once, since returning to it would close
-    a cycle through it.  So a letter on some cycle edge is unbounded and
-    any other letter is bounded by its number of edges.  One SCC pass and
-    one sweep over the edges give every letter's bound.
+    Kosaraju: finishing order on the graph, then components on its reverse.
     """
     n = system.nfa.n_states
     adj = {}
@@ -420,7 +455,6 @@ def _letter_bounds(system):
     for (p, _a, q) in system.edges:
         adj.setdefault(p, set()).add(q)
         radj.setdefault(q, set()).add(p)
-    # Kosaraju: finishing order on the graph, then components on its reverse
     order = []
     seen = set()
     for s in range(n):
@@ -451,6 +485,22 @@ def _letter_bounds(system):
                 continue
             comp[v] = s
             stack.extend(w for w in radj.get(v, ()) if w not in comp)
+    return comp
+
+
+def _letter_bounds(system):
+    """Map each letter to an upper bound on its count over the language.
+
+    The bound is None when the count is unbounded.  A word of the language
+    is a path from an initial to a final state, and a path can repeat an
+    edge without limit exactly when the edge lies on a cycle: a self-loop,
+    or an edge whose endpoints share a strongly connected component.  Any
+    other edge is crossed at most once, since returning to it would close
+    a cycle through it.  So a letter on some cycle edge is unbounded and
+    any other letter is bounded by its number of edges.  One SCC pass and
+    one sweep over the edges give every letter's bound.
+    """
+    comp = _components(system)
     bounds = {a: 0 for a in system.letters}
     for (p, a, q) in system.edges:
         if comp[p] == comp[q]:

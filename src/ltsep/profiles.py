@@ -192,50 +192,105 @@ def annotate(nfa, i, f, k, state_budget=200_000):
 
 # ---------------------------------------------------------------------------
 # Sliding-window signature machinery: an explicit deterministic view of the
-# capped image, used by the brute-force oracle, the signature probe and the
-# explicit separator automaton.  Independent of the annotation transform above.
+# capped image, used by the brute-force oracle, the signature probe, separator
+# membership and the explicit separator automaton.  Independent of the
+# annotation transform above.  A walk works on interned profiles: its Windows
+# numbers the (left, right) window pairs met, and capped counts are a tuple of
+# d bitmasks over those numbers, so that the counts of a state are a few
+# ints.  Signatures take their frozenset-of-(Profile, count) form only where
+# they leave a walk (Windows.signature).
 
 
-def _resolved_profile(buf, pos, k):
-    kl, kr = split_width(k)
-    left = buf[max(0, pos - kl):pos]
-    right = buf[pos:pos + kr]
-    return Profile(left, right, k)
+def set_bits(mask):
+    """The set bits of a nonnegative int, lowest first, each as a power of 2."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
-def window_step(buf, counts, a, k, d):
-    """Advance the sliding window by one letter.
+class Windows:
+    """The sliding-window view of one walk at width k and threshold d.
 
-    buf holds the last <= kl+kr letters already read; counts is a frozenset
-    signature of capped profile counts resolved so far.  Returns (buf', counts').
+    Each (left, right) window pair met gets a bit, 1 << (its number).
+    Capped counts are a tuple of d bitmasks: level c (from 0) holds the
+    profiles counted more than c times, so each level is a subset of the
+    one before.  Numbers are assigned in the order pairs are met, so counts
+    compare only within one Windows; step remembers what it computed for a
+    buffer and a letter.
     """
-    kl, kr = split_width(k)
-    w_len = kl + kr
-    nbuf = (buf + (a,))[-w_len:]
-    cdict = dict(counts)
-    # a position resolves once its full right window has been read
-    pos = len(nbuf) - kr
-    if pos >= 0:
-        p = _resolved_profile(nbuf, pos, k)
-        cdict[p] = min(d, cdict.get(p, 0) + 1)
-    return nbuf, frozenset(cdict.items())
 
+    def __init__(self, k, d):
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        self.k = k
+        self.d = d
+        self.kl, self.kr = split_width(k)
+        self.empty = (0,) * d
+        self._numbers = {}  # (left, right) -> number
+        self._pairs = []  # number -> (left, right)
+        self._steps = {}  # (buf, a) -> (buf', bit resolved or 0)
 
-def window_flush(buf, counts, k, d, total_len):
-    """Resolve the trailing positions whose right windows are truncated."""
-    kl, kr = split_width(k)
-    cdict = dict(counts)
-    n = total_len
-    lo = max(0, n - kr + 1)
-    for x in range(lo, n):
-        pos = x - (n - len(buf))
-        p = Profile(
-            buf[max(0, pos - kl):pos],
-            buf[pos:min(pos + kr, len(buf))],
-            k,
+    def bit(self, left, right):
+        n = self._numbers.get((left, right))
+        if n is None:
+            n = self._numbers[(left, right)] = len(self._pairs)
+            self._pairs.append((left, right))
+        return 1 << n
+
+    @staticmethod
+    def bump(counts, bit):
+        """counts with the profile of bit counted once more, capped at d."""
+        for c, level in enumerate(counts):
+            if not level & bit:
+                return counts[:c] + (level | bit,) + counts[c + 1:]
+        return counts
+
+    def step(self, buf, counts, a):
+        """Advance the window by one letter: (buf', counts').
+
+        buf holds the last <= kl+kr letters already read; a position's
+        profile is counted once its full right window has been read.
+        """
+        hit = self._steps.get((buf, a))
+        if hit is None:
+            kl, kr = self.kl, self.kr
+            nbuf = (buf + (a,))[-(kl + kr):]
+            pos = len(nbuf) - kr
+            bit = self.bit(nbuf[max(0, pos - kl):pos], nbuf[pos:]) if pos >= 0 else 0
+            hit = self._steps[(buf, a)] = (nbuf, bit)
+        nbuf, bit = hit
+        return nbuf, (self.bump(counts, bit) if bit else counts)
+
+    def flush(self, buf, counts, total_len):
+        """Count the trailing positions, whose right windows are truncated,
+        of a word of length total_len (capped at kl+kr) ending in buf."""
+        kl, kr = self.kl, self.kr
+        n = total_len
+        for x in range(max(0, n - kr + 1), n):
+            pos = x - (n - len(buf))
+            counts = self.bump(counts, self.bit(buf[max(0, pos - kl):pos], buf[pos:pos + kr]))
+        return counts
+
+    def counts_of(self, sig):
+        """The counts of a frozenset signature at this width and threshold."""
+        counts = list(self.empty)
+        for p, n in sig:
+            bit = self.bit(p.left, p.right)
+            for c in range(min(n, self.d)):
+                counts[c] |= bit
+        return tuple(counts)
+
+    def signature(self, counts):
+        """The frozenset-of-(Profile, count) signature of counts."""
+        tally = {}
+        for level in counts:
+            for bit in set_bits(level):
+                tally[bit] = tally.get(bit, 0) + 1
+        return frozenset(
+            (Profile(*self._pairs[bit.bit_length() - 1], self.k), c)
+            for bit, c in tally.items()
         )
-        cdict[p] = min(d, cdict.get(p, 0) + 1)
-    return frozenset(cdict.items())
 
 
 def signature_of(w, k, d):
@@ -251,31 +306,34 @@ def out_edges(nfa):
     return delta
 
 
-def window_walk(delta, starts, k, d, budget, keep=None):
+def window_walk(delta, starts, win, budget, keep=None):
     """Breadth-first walk over (state, window buffer, capped counts, fill).
 
-    delta maps a state to its (letter, successor) pairs; the walk is finite
-    because counts are capped and the fill degree stops at the window width
-    (past it the flush arithmetic no longer depends on the length).  Yields
-    (src, a, dst, new) for each explored edge, first (None, None, st, True)
-    for each start state; new says whether dst is reached for the first
-    time.  New states whose counts fail keep are dropped.  Raises
-    AnnotationBudgetError instead of exceeding budget states.
+    delta maps a state to its (letter, successor) pairs and win is the
+    walk's Windows; the walk is finite because counts are capped and the
+    fill degree stops at the window width (past it the flush arithmetic no
+    longer depends on the length).  Yields (src, a, dst, new) for each
+    explored edge, first (None, None, st, True) for each start state; new
+    says whether dst is reached for the first time.  New states whose
+    counts fail keep are dropped.  Raises AnnotationBudgetError instead of
+    exceeding budget states.
     """
-    w_len = sum(split_width(k))
+    w_len = win.kl + win.kr
+    step = win.step
     seen = set()
     queue = deque()
     for q0 in set(starts):
-        st = (q0, (), frozenset(), 0)
+        st = (q0, (), win.empty, 0)
         seen.add(st)
         queue.append(st)
         yield None, None, st, True
     while queue:
         src = queue.popleft()
         q, buf, counts, fill = src
+        nfill = min(fill + 1, w_len)
         for (a, q2) in delta.get(q, ()):
-            nbuf, ncounts = window_step(buf, counts, a, k, d)
-            dst = (q2, nbuf, ncounts, min(fill + 1, w_len))
+            nbuf, ncounts = step(buf, counts, a)
+            dst = (q2, nbuf, ncounts, nfill)
             if dst in seen:
                 yield src, a, dst, False
                 continue
@@ -296,11 +354,13 @@ def language_signatures(nfa, i, f, k, d, state_budget=500_000):
     Returns a set of frozenset signatures.  Raises AnnotationBudgetError past
     the budget.
     """
+    win = Windows(k, d)
     fset = set(f)
-    return {
-        window_flush(buf, counts, k, d, fill)
+    ends = {
+        win.flush(buf, counts, fill)
         for _src, _a, (q, buf, counts, fill), new in window_walk(
-            out_edges(nfa), i, k, d, state_budget
+            out_edges(nfa), i, win, state_budget
         )
         if new and q in fset
     }
+    return {win.signature(counts) for counts in ends}

@@ -19,10 +19,11 @@ from .profiles import (
     language_signatures,
     out_edges,
     project_profile_word,
+    set_bits,
     signature_of,
-    window_flush,
     window_walk,
     AnnotationBudgetError,
+    Windows,
 )
 from . import parikh as pk
 from .reduction import (
@@ -340,22 +341,36 @@ def _meets(nfa, i, f, targets, k, d, budget):
 
     Walks the language's sliding windows, pruning any state whose capped
     counts can no longer grow into a target (counts are monotone along a
-    run), with early exit on a hit.  Returns True or False, or None past
-    budget states.
+    run, so a state can still reach a target when every bit of its counts
+    is set at the same level in the target's), with early exit on a hit.
+    Returns True or False, or None past budget states.
     """
-    target_dicts = [dict(t) for t in targets]
+    win = Windows(k, d)
+    goals = {win.counts_of(t) for t in targets}
+    # level c, profile bit -> the goals holding it at level c, as a bitmask
+    # over the goals' order
+    holders = [{} for _ in range(d)]
+    for j, goal in enumerate(goals):
+        for c, level in enumerate(goal):
+            for bit in set_bits(level):
+                holders[c][bit] = holders[c].get(bit, 0) | 1 << j
+    every = (1 << len(goals)) - 1
 
     @cache
     def compat(counts):
-        return any(
-            all(c <= t.get(p, 0) for (p, c) in counts) for t in target_dicts
-        )
+        alive = every
+        for by_bit, level in zip(holders, counts):
+            for bit in set_bits(level):
+                alive &= by_bit.get(bit, 0)
+                if not alive:
+                    return False
+        return bool(alive)
 
     fset = set(f)
-    walk = window_walk(out_edges(nfa), i, k, d, budget, compat)
+    walk = window_walk(out_edges(nfa), i, win, budget, compat)
     try:
         for _src, _a, (q, buf, counts, fill), new in walk:
-            if new and q in fset and window_flush(buf, counts, k, d, fill) in targets:
+            if new and q in fset and win.flush(buf, counts, fill) in goals:
                 return True
     except AnnotationBudgetError:
         return None
@@ -480,10 +495,11 @@ def separator_automaton(handle, budget=100_000):
         sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d, budget)
     alphabet = tuple(spec.nfa.alphabet)
     loops = {0: [(a, 0) for a in alphabet]}
+    win = Windows(k, d)
     index = {}
     transitions = set()
     try:
-        for src, a, st, new in window_walk(loops, (0,), k, d, budget):
+        for src, a, st, new in window_walk(loops, (0,), win, budget):
             if new:
                 index[st] = len(index)
             if src is not None:
@@ -492,9 +508,10 @@ def separator_automaton(handle, budget=100_000):
         raise AnnotationBudgetError(
             "separator automaton exceeded %d states" % budget
         ) from None
+    goals = {win.counts_of(sig) for sig in sigs}
     f = frozenset(
         n for (_q, buf, counts, fill), n in index.items()
-        if window_flush(buf, counts, k, d, fill) in sigs
+        if win.flush(buf, counts, fill) in goals
     )
     nfa = Nfa(len(index), alphabet, frozenset(transitions))
     return nfa, frozenset([0]), f

@@ -20,6 +20,7 @@ from ltsep.monoid import (
 )
 from ltsep.profiles import equivalent, profile_at
 from ltsep import parikh as pk
+from ltsep import separ
 from ltsep.reduction import build_reduced
 from ltsep.separ import (
     decide_fixed,
@@ -228,29 +229,58 @@ def _formula_batch():
 
 
 @lru_cache(maxsize=None)
-def _crit6_runs():
+def _crit6_decided():
+    """(spec, sat, LTT verdict, LT verdict) per formula, with the number of
+    HiGHS solves and of pool exact matches the verdicts took."""
     out = []
-    for cnf in _formula_batch():
-        spec = gen_sat_instance(cnf)
-        out.append((spec, sat_brute(cnf), decide_ltt(spec), decide_lt(spec)))
-    return out
+    solves = pools = 0
+    real_solve = pk.MipModel.solve
+    real_pool = separ.build_reduced_pool
+
+    def counting_solve(model):
+        nonlocal solves
+        solves += 1
+        return real_solve(model)
+
+    def counting_pool(spec):
+        nonlocal pools
+        pools += 1
+        return real_pool(spec)
+
+    pk.MipModel.solve = counting_solve
+    separ.build_reduced_pool = counting_pool
+    try:
+        for cnf in _formula_batch():
+            spec = gen_sat_instance(cnf)
+            out.append((spec, sat_brute(cnf), decide_ltt(spec), decide_lt(spec)))
+    finally:
+        pk.MipModel.solve = real_solve
+        separ.build_reduced_pool = real_pool
+    return out, solves, pools
+
+
+def _crit6_runs():
+    return _crit6_decided()[0]
 
 
 def test_criterion_6_sat_reduction(capsys):
     t0 = time.monotonic()
     bad = 0
     sat_count = 0
-    for spec, sat, vltt, vlt in _crit6_runs():
+    runs, solves, pools = _crit6_decided()
+    for spec, sat, vltt, vlt in runs:
         sat_count += sat
         if vltt.separable is not (not sat) or vlt.separable is not (not sat):
             bad += 1
     ok = bad == 0
+    # the counts carry no threshold: cut rounds move with hash order
     _report(
         capsys,
         6,
         ok,
-        "50 formulas (%d sat / %d unsat), %d wrong verdicts, %.1fs"
-        % (sat_count, 50 - sat_count, bad, time.monotonic() - t0),
+        "50 formulas (%d sat / %d unsat), %d wrong verdicts, "
+        "%d HiGHS solves in %d pool matches, %.1fs"
+        % (sat_count, 50 - sat_count, bad, solves, pools, time.monotonic() - t0),
     )
     assert ok
 

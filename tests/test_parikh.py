@@ -2,6 +2,7 @@
 and Eulerian word reconstruction."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -374,3 +375,125 @@ class TestLetterBounds:
         res = pk.match_fixed(sys1, sys2, letters, 2)
         assert res.status == pk.SAT
         assert len(calls) <= 2
+
+
+class TestConnectivityRows:
+    def test_grouped_cut_admits_a_connected_flow(self):
+        # 0 -a-> 1 -b-> 2 -c-> 1 with final state 1.  The base flow reads
+        # a (bc)^cap and the circulation (bc)^cap, so edge b's group (base
+        # plus cycle) sums to 2 cap while one unit enters {1, 2}: a
+        # connected flow that every cut and seeded row must admit
+        nfa = Nfa(3, ("a", "b", "c"), frozenset([(0, "a", 1), (1, "b", 2), (2, "c", 1)]))
+        system = pk.flow_system(nfa, {0}, {1})
+        cap = 10
+        model = pk.MipModel()
+        side = pk._add_flow(model, system, cap)
+        cyc = pk._add_circulation(model, system, cap)
+        req = pk._ConnReq(
+            system, [[v, w] for v, w in zip(side.edge_vars, cyc)], side.src_vars, cap
+        )
+        flow = {"a": (1, 0), "b": (cap, cap), "c": (cap, cap)}
+        sol = [0] * len(model.lb)
+        for (_p, a, _q), v, w in zip(system.edges, side.edge_vars, cyc):
+            sol[v], sol[w] = flow[a]
+        sol[side.src_vars[0]] = 1
+        sol[side.snk_vars[1]] = 1
+        assert req.violation(sol) is None
+        req.seed(model)
+        req.add_cut(model, {1, 2})
+        model._verify(sol)  # raises SolverStall on a violated row
+
+    def test_seeded_rows_cut_off_a_stray_cycle(self):
+        # 0 -a-> 3, and 0 -b-> the cycle 1 <-> 2 -a-> 3: the component
+        # {1, 2} holds no initial state, so its seeded rows forbid flow on
+        # the cycle while no b leaves state 0
+        nfa = Nfa(4, ("a", "b"), frozenset([
+            (0, "a", 3), (0, "b", 1), (1, "b", 2), (2, "b", 1), (2, "a", 3),
+        ]))
+        system = pk.flow_system(nfa, {0}, {3})
+        model = pk.MipModel()
+        side = pk._add_flow(model, system, 5)
+        req = pk._ConnReq(system, [[v] for v in side.edge_vars], side.src_vars, 5)
+        req.seed(model)
+        assert len(model.rows) == 2 + system.nfa.n_states + 2
+        sol = [0] * len(model.lb)
+        for (p, a, q), v in zip(system.edges, side.edge_vars):
+            sol[v] = 1 if (p, a, q) in {(0, "a", 3), (1, "b", 2), (2, "b", 1)} else 0
+        sol[side.src_vars[0]] = 1
+        sol[side.snk_vars[3]] = 1
+        assert req.violation(sol) == {1, 2}
+        with pytest.raises(pk.SolverStall):
+            model._verify(sol)
+
+
+class TestSeededRowsChangeNoAnswer:
+    """The rows added before the first solve hold for every connected flow,
+    so each solve's status and optimum are those of the lazy cuts alone."""
+
+    @staticmethod
+    def _answers(monkeypatch, seeded, run):
+        solves = []
+        real = pk.MipModel.solve
+        connected = pk._solve_connected
+
+        def counting(model):
+            solves.append(model)
+            return real(model)
+
+        objectives = []
+
+        def recording(model, reqs):
+            sol = connected(model, reqs)
+            objectives.append(None if sol is None else sum(sol))
+            return sol
+
+        with monkeypatch.context() as m:
+            m.setattr(pk.MipModel, "solve", counting)
+            m.setattr(pk, "_solve_connected", recording)
+            if not seeded:
+                m.setattr(pk._ConnReq, "seed", lambda self, model: None)
+            res = run()
+        return (res.status, objectives), len(solves)
+
+    def _compare(self, monkeypatch, run):
+        with_rows, solves_with = self._answers(monkeypatch, True, run)
+        without, solves_without = self._answers(monkeypatch, False, run)
+        assert with_rows == without
+        return solves_with, solves_without
+
+    def test_random_flow_systems(self, monkeypatch):
+        fewer = 0
+        for seed in range(30):
+            spec = gen_random(900 + seed, 2 + seed % 4, 1 + seed % 2, 0.35)
+            sys1 = pk.flow_system(spec.nfa, spec.i1, spec.f1)
+            sys2 = pk.flow_system(spec.nfa, spec.i2, spec.f2)
+            letters = sorted(spec.nfa.alphabet)
+            for d in (None, 1, 2):
+                a, b = self._compare(
+                    monkeypatch, lambda: pk.match_fixed(sys1, sys2, letters, d)
+                )
+                fewer += a < b
+            a, b = self._compare(monkeypatch, lambda: pk.match_limit(sys1, sys2, letters))
+            fewer += a < b
+        # the rows do replace cut rounds on some of these systems
+        assert fewer > 0
+
+    @pytest.mark.parametrize("cnf, thresholds", [
+        # a satisfiable criterion-6 formula whose exact pool match takes cut
+        # rounds (its matches at d = 1, 2 take 25 s)
+        (Cnf3(4, ((1, 3, -1), (2, -1, 3), (2, -2, 3), (-4, 3, 4), (3, 4, 1), (1, -3, 1))),
+         (None, "limit")),
+        # one whose pool matches are quick at every threshold
+        (Cnf3(4, ((-4, -2, -1), (2, -1, -3), (3, 1, -3))), (None, 1, 2, "limit")),
+    ], ids=["cut-rounds", "every-threshold"])
+    def test_criterion_6_pool(self, monkeypatch, cnf, thresholds):
+        pool = build_reduced_pool(gen_sat_instance(cnf))
+        sys1 = pk.flow_system(pool.nfa, pool.i1, pool.f1)
+        sys2 = pk.flow_system(pool.nfa, pool.i2, pool.f2)
+        letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
+        for d in thresholds:
+            if d == "limit":
+                run = partial(pk.match_limit, sys1, sys2, letters)
+            else:
+                run = partial(pk.match_fixed, sys1, sys2, letters, d)
+            self._compare(monkeypatch, run)

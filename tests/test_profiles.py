@@ -19,8 +19,7 @@ from ltsep.profiles import (
     project_profile_word,
     signature_of,
     split_width,
-    window_flush,
-    window_step,
+    Windows,
 )
 from ltsep.testkit import gen_parity, gen_random
 
@@ -78,12 +77,18 @@ class TestCappedImage:
     @settings(max_examples=100, deadline=None)
     @given(words, st.integers(1, 4), st.integers(1, 3))
     def test_incremental_window_equals_direct_signature(self, w, k, d):
-        buf, counts = (), frozenset()
+        win = Windows(k, d)
+        buf, counts = (), win.empty
         for a in w:
-            buf, counts = window_step(buf, counts, a, k, d)
+            buf, counts = win.step(buf, counts, a)
         kl, kr = split_width(k)
         length = min(len(w), kl + kr)
-        assert window_flush(buf, counts, k, d, length) == signature_of(w, k, d)
+        flushed = win.flush(buf, counts, length)
+        assert win.signature(flushed) == signature_of(w, k, d)
+        # the interned counts and the signature encode each other, and the
+        # levels are nested: a profile counted c times is in levels 0..c-1
+        assert win.counts_of(signature_of(w, k, d)) == flushed
+        assert all(hi & ~lo == 0 for lo, hi in zip(flushed, flushed[1:]))
 
 
 class TestAnnotate:
@@ -167,6 +172,60 @@ class TestLanguageSignatures:
                             nxt.append((w + (a,), succ))
                 layer = nxt
             assert brute <= sigs
+
+    @staticmethod
+    def _accepted(nfa, i, f, max_len):
+        """Every word of L(nfa, i, f) up to max_len letters."""
+        out = []
+        layer = [((), set(i))]
+        for _ in range(max_len + 1):
+            nxt = []
+            for w, cur in layer:
+                if cur & set(f):
+                    out.append(w)
+                for a in nfa.alphabet:
+                    succ = nfa.step(cur, a)
+                    if succ:
+                        nxt.append((w + (a,), succ))
+            layer = nxt
+        return out
+
+    @staticmethod
+    def _random_dag(rng):
+        """A random automaton whose edges only go up in state number, so
+        that its language is finite, with words of at most n - 1 letters."""
+        n = rng.randint(1, 6)
+        sigma = ("a", "b", "c")[:rng.randint(1, 3)]
+        trans = frozenset(
+            (p, a, q)
+            for p in range(n) for q in range(p + 1, n) for a in sigma
+            if rng.random() < 0.4
+        )
+        f = frozenset(q for q in range(n) if rng.random() < 0.5) or {n - 1}
+        return Nfa(n, sigma, trans), frozenset([0]), frozenset(f)
+
+    def test_finite_languages_match_every_word(self):
+        # a finite language's signature set is exactly the set of its words'
+        # signatures, computed without the window walk
+        rng = random.Random(13)
+        for _ in range(60):
+            nfa, i, f = self._random_dag(rng)
+            words = self._accepted(nfa, i, f, nfa.n_states)
+            for k in (1, 2, 3):
+                for d in (1, 2, 3):
+                    want = {signature_of(w, k, d) for w in words}
+                    assert language_signatures(nfa, i, f, k, d) == want, (nfa, k, d)
+
+    def test_cyclic_languages_hold_every_word(self):
+        # two-letter specs whose signature sets stay small up to (3, 3)
+        for seed, states in ((40, 2), (41, 3), (42, 4), (46, 2), (47, 3)):
+            spec = gen_random(seed, states, 2, 0.3)
+            words = self._accepted(spec.nfa, spec.i1, spec.f1, 7)
+            for k in (1, 2, 3):
+                for d in (1, 2, 3):
+                    sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
+                    for w in words:
+                        assert signature_of(w, k, d) in sigs, (seed, w, k, d)
 
     def test_budget(self):
         spec = gen_random(3, 4, 2, 0.5)

@@ -18,16 +18,21 @@ from ltsep.automata import (
 )
 from ltsep.monoid import profile_width_bound, transition_monoid
 from ltsep.profiles import (
+    AnnotationBudgetError,
+    Profile,
     capped_image,
     equivalent,
     language_signatures,
+    out_edges,
     signature_of,
+    split_width,
 )
 from ltsep.reduction import DPattern
 from ltsep.separ import (
     EngineConfig,
     WitnessPair,
     _fallback,
+    _meets,
     _sig_probe,
     decide_fixed,
     decide_lt,
@@ -350,6 +355,123 @@ class TestSigProbe:
         for _ in range(50):
             w = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(0, 6)))
             assert separator_membership(v.separator, w) is False
+
+
+def _reference_walk(nfa, starts, k, d, budget, keep=None):
+    """The window walk on uninterned counts: the new states it reaches, in
+    breadth-first order, with counts a frozenset of (Profile, count) pairs.
+    Raises AnnotationBudgetError instead of exceeding budget states."""
+    kl, kr = split_width(k)
+    delta = out_edges(nfa)
+    seen = set()
+    queue = []
+    for q0 in set(starts):
+        st = (q0, (), frozenset(), 0)
+        seen.add(st)
+        queue.append(st)
+        yield st
+    while queue:
+        q, buf, counts, fill = queue.pop(0)
+        for (a, q2) in delta.get(q, ()):
+            nbuf = (buf + (a,))[-(kl + kr):]
+            cdict = dict(counts)
+            pos = len(nbuf) - kr
+            if pos >= 0:
+                p = Profile(nbuf[max(0, pos - kl):pos], nbuf[pos:], k)
+                cdict[p] = min(d, cdict.get(p, 0) + 1)
+            dst = (q2, nbuf, frozenset(cdict.items()), min(fill + 1, kl + kr))
+            if dst in seen or (keep is not None and not keep(dst[2])):
+                continue
+            if len(seen) >= budget:
+                raise AnnotationBudgetError("budget")
+            seen.add(dst)
+            queue.append(dst)
+            yield dst
+
+
+def _reference_flush(buf, counts, k, d, n):
+    kl, kr = split_width(k)
+    cdict = dict(counts)
+    for x in range(max(0, n - kr + 1), n):
+        pos = x - (n - len(buf))
+        p = Profile(buf[max(0, pos - kl):pos], buf[pos:pos + kr], k)
+        cdict[p] = min(d, cdict.get(p, 0) + 1)
+    return frozenset(cdict.items())
+
+
+def _reference_meets(nfa, i, f, targets, k, d, budget):
+    """_meets with each state's counts checked against every target."""
+    target_dicts = [dict(t) for t in targets]
+
+    def keep(counts):
+        return any(all(c <= t.get(p, 0) for (p, c) in counts) for t in target_dicts)
+
+    try:
+        for q, buf, counts, fill in _reference_walk(nfa, i, k, d, budget, keep):
+            if q in f and _reference_flush(buf, counts, k, d, fill) in targets:
+                return True
+    except AnnotationBudgetError:
+        return None
+    return False
+
+
+def _reference_probe(spec, k, d, budget):
+    try:
+        targets = {
+            _reference_flush(buf, counts, k, d, fill)
+            for q, buf, counts, fill in _reference_walk(spec.nfa, spec.i1, k, d, budget)
+            if q in spec.f1
+        }
+    except AnnotationBudgetError:
+        return None
+    shared = _reference_meets(spec.nfa, spec.i2, spec.f2, targets, k, d, budget)
+    if shared is None:
+        return None
+    return False if shared else frozenset(targets)
+
+
+class TestWindowSearchReference:
+    """The interned window search against a walk on frozenset counts that
+    checks every target in turn, budgets included."""
+
+    KD = [(k, d) for k in (1, 2, 3) for d in (1, 2, 3)]
+
+    @pytest.mark.parametrize("budget", [500_000, 40, 8, 2])
+    def test_sig_probe(self, budget):
+        rng = random.Random(77)
+        cfg = EngineConfig(state_budget=budget)
+        outcomes = set()
+        for seed in range(40):
+            spec = gen_random(700 + seed, rng.randint(1, 3), rng.randint(1, 2), 0.35)
+            k, d = rng.choice(self.KD)
+            got = _sig_probe(spec, k, d, cfg)
+            assert got == _reference_probe(spec, k, d, budget), (seed, k, d)
+            outcomes.add(got if got is None or got is False else "sigs")
+        if budget == 2:
+            assert None in outcomes
+
+    @pytest.mark.parametrize("budget", [500_000, 30, 5])
+    def test_meets(self, budget):
+        # targets: a random part of L1's signatures, and single signatures
+        # of sampled words, the shape of a membership query
+        rng = random.Random(78)
+        outcomes = set()
+        for seed in range(25):
+            spec = gen_random(800 + seed, rng.randint(1, 3), rng.randint(1, 2), 0.4)
+            k, d = rng.choice(self.KD)
+            sigs = sorted(language_signatures(spec.nfa, spec.i2, spec.f2, k, d), key=repr)
+            words = sample_words(spec.nfa, spec.i1, spec.f1, 3, rng, max_len=8)
+            words += [tuple(rng.choice(spec.nfa.alphabet) for _ in range(rng.randint(0, 5)))]
+            for targets in [set(rng.sample(sigs, len(sigs) // 2))] + [
+                {signature_of(w, k, d)} for w in words
+            ]:
+                args = (spec.nfa, spec.i1, spec.f1, targets, k, d, budget)
+                got = _meets(*args)
+                assert got is _reference_meets(*args), (seed, k, d, targets)
+                outcomes.add(got)
+        assert {True, False} <= outcomes
+        if budget == 5:
+            assert None in outcomes
 
 
 class TestProbeHandle:
