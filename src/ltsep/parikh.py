@@ -8,19 +8,33 @@ threshold-matching between two languages (fixed threshold, and in the limit
 over all thresholds via pump certificates), and reconstructs witness words
 from feasible flows.
 
+A flow system (flow_system) is built on the automaton trimmed and then
+reduced: forward-bisimilar states (same finality, same (letter, successor
+block) pairs) are merged, then backward-bisimilar ones.  The reduction
+keeps the language, and word lengths, letter counts and the choice of
+endpoints are properties of the language, so every match keeps its status
+and its optimum on smaller models; on the pools of SAT encodings it folds
+the padding tails of side 2.  flow_systems builds the systems of two
+languages to be matched and skips the merge when one of them is empty,
+since such a match is UNSAT before any model is built.
+
 Connectivity of the used-edge subgraph to the chosen source has two
 encodings.  The two-sided matches (match_fixed, match_limit) start from one
 row per state of each strongly connected component that holds no initial
 state (_ConnReq.seed: flow inside the component needs flow entering it),
 then add cut rows lazily: solve, check the support of the solution, and
-forbid disconnected supports until the support is connected.  Both kinds
-of row hold for every connected flow, so neither changes the feasible set
-or the optimum.  The one-sided query (feasible)
-adds a commodity flow up front (_add_support_reach) and solves once; the
-engine no longer calls it (separator membership is an exact window search
-in separ), but the benchmark's tracer still wraps it by name, so it stays
-until that tracer drops it.  Integer feasibility itself is delegated to
-scipy's MILP interface; returned solutions are re-verified in exact
+forbid disconnected supports until the support is connected.  Each cut
+covers every state the source does not reach in the components the
+disconnected support touches, so one round rules out all the symmetric
+cycles of a component.  Both kinds of row hold for every connected flow,
+so neither changes the feasible set or the optimum.  The one-sided query
+(feasible) adds a commodity flow up front (_add_support_reach) and solves
+once; the engine no longer calls it (separator membership is an exact
+window search in separ), but the benchmark's tracer still wraps it by
+name, so it stays until that tracer drops it.  Integer feasibility itself
+is delegated to scipy's MILP interface, with HiGHS's feasibility jump
+heuristic off: these models close at the root node, and the heuristic
+only delays the root LP.  Returned solutions are re-verified in exact
 integer arithmetic before use.
 
 Every model bounds its variables by a box, which is also the big-M of its
@@ -36,7 +50,9 @@ its caller; match_limit solves at cap, since there an UNSAT answer in a
 small box settles nothing.
 """
 
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -104,13 +120,22 @@ class MipModel:
         else:
             constraints = ()
         # minimizing the variable sum keeps witness flows small; feasibility
-        # and infeasibility proofs are unaffected
-        res = milp(
-            c=np.ones(nvars),
-            constraints=constraints,
-            integrality=np.ones(nvars),
-            bounds=Bounds(np.array(self.lb, dtype=float), np.array(self.ub, dtype=float)),
-        )
+        # and infeasibility proofs are unaffected.  Feasibility jump is off
+        # (see the module docstring); scipy passes the option on to HiGHS
+        # unchanged but warns that it does not know it
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "Unrecognized options", RuntimeWarning
+            )
+            res = milp(
+                c=np.ones(nvars),
+                constraints=constraints,
+                integrality=np.ones(nvars),
+                bounds=Bounds(
+                    np.array(self.lb, dtype=float), np.array(self.ub, dtype=float)
+                ),
+                options={"mip_heuristic_run_feasibility_jump": False},
+            )
         if res.status == 2:  # proven infeasible
             return None
         if res.status != 0 or res.x is None:
@@ -133,8 +158,14 @@ class MipModel:
 class FlowSystem:
     """The flow view of one language L(nfa, i, f).
 
-    The automaton is trimmed to its useful part; edges is the ordered
-    transition list the multiplicity variables refer to.
+    flow_system trims the automaton to its useful part and merges its
+    bisimilar states (flow_systems only trims when one of the languages
+    to be matched is empty), so every model built on it has one variable
+    per edge of the smallest automaton this reduction reaches; edges is
+    the ordered transition list the multiplicity variables refer to.  The strongly
+    connected components and each state's in-edges are computed once, on
+    first use, and shared by the letter bounds, the seeded rows and every
+    connectivity cut of every model built on the system.
     """
 
     nfa: Nfa
@@ -146,11 +177,116 @@ class FlowSystem:
     def letters(self):
         return self.nfa.alphabet
 
+    @cached_property
+    def components(self):
+        """State -> representative of its strongly connected component."""
+        return _components(self)
+
+    @cached_property
+    def in_edges(self):
+        """State -> indices into edges of the edges entering it."""
+        into = [[] for _ in range(self.nfa.n_states)]
+        for j, (_p, _a, q) in enumerate(self.edges):
+            into[q].append(j)
+        return into
+
+
+def _coarsest(n, arcs, split):
+    """The coarsest partition of range(n) that refines the labels split and
+    in which the states of a block have the same set of (letter, block)
+    pairs over their arcs; arcs[q] lists (letter, state) pairs.
+
+    Returns each state's block.  Splitting a block keeps its number on its
+    largest part; only the blocks of states with an arc to a renumbered
+    state are checked again.
+    """
+    users = [[] for _ in range(n)]
+    for q in range(n):
+        for _a, r in arcs[q]:
+            users[r].append(q)
+    labels = {}
+    block = [labels.setdefault(label, len(labels)) for label in split]
+    members = [[] for _ in labels]
+    for q, b in enumerate(block):
+        members[b].append(q)
+    dirty = set(range(len(members)))
+    while dirty:
+        b = dirty.pop()
+        parts = {}
+        for q in members[b]:
+            parts.setdefault(frozenset((a, block[r]) for a, r in arcs[q]), []).append(q)
+        if len(parts) == 1:
+            continue
+        kept, *moved = sorted(parts.values(), key=len, reverse=True)
+        members[b] = kept
+        for part in moved:
+            for q in part:
+                block[q] = len(members)
+            members.append(part)
+        for part in moved:
+            for q in part:
+                dirty.update(block[u] for u in users[q])
+    return block
+
+
+def _merge(nfa, i, f, backward):
+    """Merge the forward (or backward) bisimilar states of a trimmed nfa.
+
+    Forward: states start split by finality and share a block while their
+    (letter, successor block) sets agree, so they accept the same words;
+    backward is the same on the reversed automaton, split by initiality.
+    Either way the quotient accepts the language of (nfa, i, f) and stays
+    trimmed.  Each block is numbered by its least state, so an automaton
+    with nothing to merge keeps its numbering.
+    """
+    n = nfa.n_states
+    arcs = [[] for _ in range(n)]
+    for (p, a, q) in nfa.transitions:
+        if backward:
+            arcs[q].append((a, p))
+        else:
+            arcs[p].append((a, q))
+    ends = i if backward else f
+    block = _coarsest(n, arcs, [q in ends for q in range(n)])
+    number = {}
+    for q in range(n):
+        number.setdefault(block[q], len(number))
+    if len(number) == n:
+        return nfa, i, f
+    to = [number[b] for b in block]
+    trans = frozenset((to[p], a, to[q]) for (p, a, q) in nfa.transitions)
+    merged = Nfa(len(number), tuple(nfa.alphabet), trans)
+    return merged, frozenset(to[q] for q in i), frozenset(to[q] for q in f)
+
+
+def _trimmed(nfa, i, f):
+    nfa2, (i2,), (f2,) = trim(nfa, [set(i)], [set(f)])
+    return nfa2, i2, f2
+
 
 def flow_system(nfa, i, f):
-    nfa2, (i2,), (f2,) = trim(nfa, [set(i)], [set(f)])
-    edges = tuple(sorted(nfa2.transitions))
-    return FlowSystem(nfa2, frozenset(i2), frozenset(f2), edges)
+    """The flow system of L(nfa, i, f): trimmed, then its forward and then
+    its backward bisimilar states merged."""
+    nfa2, i2, f2 = _merge(*_merge(*_trimmed(nfa, i, f), backward=False), backward=True)
+    return FlowSystem(nfa2, i2, f2, tuple(sorted(nfa2.transitions)))
+
+
+def flow_systems(*sides):
+    """The flow systems of languages to be matched with each other, one
+    per (nfa, i, f) of sides.
+
+    Every match with an empty language is UNSAT before a model is built,
+    so when one of the languages is empty, the systems are only trimmed:
+    merging their states would be wasted.  Trimming a trimmed automaton
+    keeps it as it is, so flow_system on the trimmed sides returns their
+    flow systems.
+    """
+    trimmed = [_trimmed(*side) for side in sides]
+    if all(i for _nfa, i, _f in trimmed):
+        return [flow_system(*side) for side in trimmed]
+    return [
+        FlowSystem(nfa, i, f, tuple(sorted(nfa.transitions))) for nfa, i, f in trimmed
+    ]
 
 
 @dataclass
@@ -249,7 +385,16 @@ class _ConnReq:
     comps: list = field(default_factory=list)  # every comp cut so far
 
     def violation(self, sol):
-        """Return a set C of support states unreachable from the source, or None."""
+        """Return the set C to cut, or None when the support is connected.
+
+        C holds every support state the source does not reach, widened to
+        every state the source does not reach in the strongly connected
+        components of those states.  A cut is valid for any set, and this
+        solution still breaks the widened one: no used edge enters C, since
+        a used edge from a reached state leads to a reached state.  One
+        wide cut forbids at once the many symmetric cycles of a component
+        that cuts around single states would forbid one round at a time.
+        """
         values = [sum(sol[v] for v in grp) for grp in self.var_groups]
         used_edges = [e for e, val in zip(self.system.edges, values) if val > 0]
         if not used_edges:
@@ -274,7 +419,11 @@ class _ConnReq:
             seen.add(p)
             stack.extend(succ.get(p, ()))
         unreached = support - seen
-        return unreached or None
+        if not unreached:
+            return None
+        comp = self.system.components
+        touched = {comp[q] for q in unreached}
+        return {q for q, c in comp.items() if c in touched and q not in seen}
 
     def seed(self, model):
         """Add the rows every connected flow satisfies, before the first solve.
@@ -287,7 +436,7 @@ class _ConnReq:
         number times the variables of the edges entering C.  Cut rounds
         remain for disconnected cycles these rows do not catch.
         """
-        comp = _components(self.system)
+        comp = self.system.components
         initial = {comp[q] for q in self.src_vars}
         inside = {}  # state -> variables of its out-edges inside its component
         entering = {}  # component -> variables of the edges entering it
@@ -312,13 +461,15 @@ class _ConnReq:
         or a source inside comp must allow that much.
         """
         self.comps.append(comp)
-        entering = []
-        for e, grp in zip(self.system.edges, self.var_groups):
-            if e[2] in comp and e[0] not in comp:
-                entering.extend(grp)
+        edges = self.system.edges
+        into = sorted(j for q in comp for j in self.system.in_edges[q])
+        entering = [
+            v for j in into if edges[j][0] not in comp for v in self.var_groups[j]
+        ]
         srcs = [v for q, v in self.src_vars.items() if q in comp]
-        for e, grp in zip(self.system.edges, self.var_groups):
-            if e[2] in comp and e[0] in comp:
+        for j in into:
+            if edges[j][0] in comp:
+                grp = self.var_groups[j]
                 big = self.cap * len(grp)
                 terms = {}
                 for v in grp:
@@ -500,7 +651,7 @@ def _letter_bounds(system):
     any other letter is bounded by its number of edges.  One SCC pass and
     one sweep over the edges give every letter's bound.
     """
-    comp = _components(system)
+    comp = system.components
     bounds = {a: 0 for a in system.letters}
     for (p, a, q) in system.edges:
         if comp[p] == comp[q]:

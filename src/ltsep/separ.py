@@ -104,12 +104,6 @@ class Verdict:
         return "unknown"
 
 
-def annotated_side(spec, which, k, cfg=None):
-    i, f = (spec.i1, spec.f1) if which == 1 else (spec.i2, spec.f2)
-    ann = annotate(spec.nfa, i, f, k, _cfg(cfg).state_budget)
-    return ann, pk.flow_system(ann.nfa, ann.i, ann.f)
-
-
 def _budget_flags(res):
     """The flag of a match that is neither SAT nor certainly UNSAT."""
     return ["solver-budget"] if res.status == pk.UNKNOWN else ["box-bound"]
@@ -150,10 +144,11 @@ def _decide_fixed_by_flow(spec, k, d, cfg):
     """Fixed-(k,d) separability by a match of the two sides' flow models,
     each annotated with its width-k profiles, at threshold d."""
     try:
-        ann1, sys1 = annotated_side(spec, 1, k, cfg)
-        ann2, sys2 = annotated_side(spec, 2, k, cfg)
+        ann1 = annotate(spec.nfa, spec.i1, spec.f1, k, cfg.state_budget)
+        ann2 = annotate(spec.nfa, spec.i2, spec.f2, k, cfg.state_budget)
     except AnnotationBudgetError:
         return Verdict("fixed", None, k, d, flags=["state-budget"])
+    sys1, sys2 = pk.flow_systems((ann1.nfa, ann1.i, ann1.f), (ann2.nfa, ann2.i, ann2.f))
     letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
     res = pk.match_fixed(sys1, sys2, letters, d, cfg.solver_cap)
     if res.status == pk.SAT:
@@ -177,8 +172,7 @@ def _decide_fixed_by_flow(spec, k, d, cfg):
 
 
 def _reduced_systems(red):
-    sys1 = pk.flow_system(red.nfa, red.i1, red.f1)
-    sys2 = pk.flow_system(red.nfa, red.i2, red.f2)
+    sys1, sys2 = pk.flow_systems((red.nfa, red.i1, red.f1), (red.nfa, red.i2, red.f2))
     letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
     return sys1, sys2, letters
 

@@ -1,12 +1,14 @@
 """Flow systems: feasibility, threshold matching, pump certificates,
 and Eulerian word reconstruction."""
 
+import itertools
 import random
+import warnings
 from functools import partial
 
 import pytest
 
-from ltsep.automata import Nfa, accepts, reachable
+from ltsep.automata import Nfa, accepts, reachable, trim
 from ltsep import parikh as pk
 from ltsep.reduction import build_reduced, build_reduced_pool
 from ltsep.testkit import Cnf3, gen_parity, gen_random, gen_sat_instance
@@ -19,21 +21,27 @@ def _letter_counts(w):
     return counts
 
 
-def _count_vectors(nfa, i, f, max_len):
-    """Letter-count vectors of all accepted words up to max_len."""
+def _words(nfa, i, f, max_len):
+    """Every word of L(nfa, i, f) up to max_len."""
     out = set()
     layer = [((), set(i))]
     for _ in range(max_len + 1):
         nxt = []
         for w, cur in layer:
             if cur & set(f):
-                out.add(tuple(sorted(_letter_counts(w).items())))
+                out.add(w)
             for a in nfa.alphabet:
                 succ = nfa.step(cur, a)
                 if succ:
                     nxt.append((w + (a,), succ))
         layer = nxt
     return out
+
+
+def _count_vectors(nfa, i, f, max_len):
+    """Letter-count vectors of all accepted words up to max_len."""
+    words = _words(nfa, i, f, max_len)
+    return {tuple(sorted(_letter_counts(w).items())) for w in words}
 
 
 class TestFeasible:
@@ -406,11 +414,15 @@ class TestConnectivityRows:
     def test_seeded_rows_cut_off_a_stray_cycle(self):
         # 0 -a-> 3, and 0 -b-> the cycle 1 <-> 2 -a-> 3: the component
         # {1, 2} holds no initial state, so its seeded rows forbid flow on
-        # the cycle while no b leaves state 0
+        # the cycle while no b leaves state 0.  States 0 and 2 are
+        # bisimilar, which flow_system would merge, so the system is built
+        # directly on the trimmed automaton
         nfa = Nfa(4, ("a", "b"), frozenset([
             (0, "a", 3), (0, "b", 1), (1, "b", 2), (2, "b", 1), (2, "a", 3),
         ]))
-        system = pk.flow_system(nfa, {0}, {3})
+        system = pk.FlowSystem(
+            nfa, frozenset({0}), frozenset({3}), tuple(sorted(nfa.transitions))
+        )
         model = pk.MipModel()
         side = pk._add_flow(model, system, 5)
         req = pk._ConnReq(system, [[v] for v in side.edge_vars], side.src_vars, 5)
@@ -424,6 +436,16 @@ class TestConnectivityRows:
         assert req.violation(sol) == {1, 2}
         with pytest.raises(pk.SolverStall):
             model._verify(sol)
+
+
+CRITERION_6_POOLS = pytest.mark.parametrize("cnf, thresholds", [
+    # a satisfiable criterion-6 formula whose exact pool match takes cut
+    # rounds (its matches at d = 1, 2 take 25 s)
+    (Cnf3(4, ((1, 3, -1), (2, -1, 3), (2, -2, 3), (-4, 3, 4), (3, 4, 1), (1, -3, 1))),
+     (None, "limit")),
+    # one whose pool matches are quick at every threshold
+    (Cnf3(4, ((-4, -2, -1), (2, -1, -3), (3, 1, -3))), (None, 1, 2, "limit")),
+], ids=["cut-rounds", "every-threshold"])
 
 
 class TestSeededRowsChangeNoAnswer:
@@ -462,30 +484,43 @@ class TestSeededRowsChangeNoAnswer:
         return solves_with, solves_without
 
     def test_random_flow_systems(self, monkeypatch):
-        fewer = 0
+        # once bisimilar states are merged, none of these systems needs a
+        # cut round, so the solves the rows save are counted on criterion
+        # 6's pools below
         for seed in range(30):
             spec = gen_random(900 + seed, 2 + seed % 4, 1 + seed % 2, 0.35)
             sys1 = pk.flow_system(spec.nfa, spec.i1, spec.f1)
             sys2 = pk.flow_system(spec.nfa, spec.i2, spec.f2)
             letters = sorted(spec.nfa.alphabet)
             for d in (None, 1, 2):
-                a, b = self._compare(
-                    monkeypatch, lambda: pk.match_fixed(sys1, sys2, letters, d)
-                )
-                fewer += a < b
-            a, b = self._compare(monkeypatch, lambda: pk.match_limit(sys1, sys2, letters))
-            fewer += a < b
-        # the rows do replace cut rounds on some of these systems
+                self._compare(monkeypatch, lambda: pk.match_fixed(sys1, sys2, letters, d))
+            self._compare(monkeypatch, lambda: pk.match_limit(sys1, sys2, letters))
+
+    def test_rows_save_solves_on_criterion_6_pools(self, monkeypatch):
+        # the exact pool matches of three satisfiable criterion-6 formulas:
+        # each takes one solve with the rows and 6-7 without them (over all
+        # of criterion 6, 46 solves against 113); only the total is pinned,
+        # since cut rounds move with hash order
+        fewer = 0
+        for cnf in (
+            Cnf3(4, ((-2, -2, -1), (-4, 1, 1), (-2, 1, -3), (1, -1, 3), (4, 1, -3),
+                     (-4, -4, 4))),
+            Cnf3(4, ((2, -3, -1), (1, 4, -1), (4, 2, 2), (-4, 3, 3), (-4, 1, -3),
+                     (-3, -4, -4), (-2, 4, -1))),
+            Cnf3(4, ((1, 3, 4), (3, -1, -1), (-4, -4, 3), (-4, -3, 4), (3, 1, 1),
+                     (2, -1, 4), (4, -3, -2), (-2, 4, -4))),
+        ):
+            pool = build_reduced_pool(gen_sat_instance(cnf))
+            sys1 = pk.flow_system(pool.nfa, pool.i1, pool.f1)
+            sys2 = pk.flow_system(pool.nfa, pool.i2, pool.f2)
+            letters = sorted(set(sys1.letters) | set(sys2.letters))
+            with_rows, without = self._compare(
+                monkeypatch, partial(pk.match_fixed, sys1, sys2, letters, None)
+            )
+            fewer += without - with_rows
         assert fewer > 0
 
-    @pytest.mark.parametrize("cnf, thresholds", [
-        # a satisfiable criterion-6 formula whose exact pool match takes cut
-        # rounds (its matches at d = 1, 2 take 25 s)
-        (Cnf3(4, ((1, 3, -1), (2, -1, 3), (2, -2, 3), (-4, 3, 4), (3, 4, 1), (1, -3, 1))),
-         (None, "limit")),
-        # one whose pool matches are quick at every threshold
-        (Cnf3(4, ((-4, -2, -1), (2, -1, -3), (3, 1, -3))), (None, 1, 2, "limit")),
-    ], ids=["cut-rounds", "every-threshold"])
+    @CRITERION_6_POOLS
     def test_criterion_6_pool(self, monkeypatch, cnf, thresholds):
         pool = build_reduced_pool(gen_sat_instance(cnf))
         sys1 = pk.flow_system(pool.nfa, pool.i1, pool.f1)
@@ -497,3 +532,286 @@ class TestSeededRowsChangeNoAnswer:
             else:
                 run = partial(pk.match_fixed, sys1, sys2, letters, d)
             self._compare(monkeypatch, run)
+
+
+def _trimmed(nfa, i, f):
+    """The flow system of L(nfa, i, f) trimmed but with no state merged."""
+    nfa2, (i2,), (f2,) = trim(nfa, [set(i)], [set(f)])
+    return pk.FlowSystem(nfa2, i2, f2, tuple(sorted(nfa2.transitions)))
+
+
+def _bisimilar_tails():
+    """Hand-built automata whose states share futures or pasts."""
+    # two branches a.b and c.b into two final states: 3 ~ 4 and then
+    # 1 ~ 2 forward, leaving 0 -a,c-> 1 -b-> 2
+    forked = Nfa(5, ("a", "b", "c"), frozenset([
+        (0, "a", 1), (0, "c", 2), (1, "b", 3), (2, "b", 4),
+    ]))
+    # a padding tail: every state of 2 -a-> 3 -a-> 4 -a-> 2 reads a^*
+    # to the end, as does the loop on 1
+    padded = Nfa(5, ("a", "b"), frozenset([
+        (0, "b", 1), (0, "b", 2), (1, "a", 1), (2, "a", 3), (3, "a", 4), (4, "a", 2),
+    ]))
+    # two initial states with the same future
+    twin = Nfa(4, ("a", "b"), frozenset([
+        (0, "a", 2), (1, "a", 2), (2, "b", 3), (3, "a", 3),
+    ]))
+    # 1 and 2 read different letters to 3 but share their past, so only
+    # the backward pass merges them
+    split = Nfa(4, ("a", "b", "c"), frozenset([
+        (0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "c", 3),
+    ]))
+    return [
+        (forked, {0}, {3, 4}, 3),
+        (padded, {0}, {1, 2, 3, 4}, 2),
+        (twin, {0, 1}, {3}, 3),
+        (split, {0}, {3}, 3),
+    ]
+
+
+class TestBisimulationMerge:
+    def test_same_words_up_to_length_6(self):
+        cases = [(nfa, i, f) for nfa, i, f, _n in _bisimilar_tails()]
+        for seed in range(40):
+            spec = gen_random(300 + seed, 2 + seed % 5, 1 + seed % 3, 0.3)
+            cases += [(spec.nfa, spec.i1, spec.f1), (spec.nfa, spec.i2, spec.f2)]
+        merged = 0
+        for nfa, i, f in cases:
+            system = pk.flow_system(nfa, i, f)
+            merged += system.nfa.n_states < _trimmed(nfa, i, f).nfa.n_states
+            assert _words(system.nfa, system.i, system.f, 6) == _words(nfa, i, f, 6)
+        assert merged > len(_bisimilar_tails())
+
+    def test_bisimilar_tails_merge(self):
+        for nfa, i, f, states in _bisimilar_tails():
+            assert pk.flow_system(nfa, i, f).nfa.n_states == states
+
+    def test_nothing_to_merge_keeps_the_trimmed_system(self):
+        # a^* b over 0 -a-> 0 -b-> 1 and the parity automaton are minimal;
+        # among random systems, every one whose reduction merges nothing
+        # equals its trimmed system, numbering included
+        kept = [
+            (Nfa(2, ("a", "b"), frozenset([(0, "a", 0), (0, "b", 1)])), {0}, {1}),
+            (gen_parity().nfa, gen_parity().i1, gen_parity().f1),
+        ]
+        for seed in range(40):
+            spec = gen_random(300 + seed, 2 + seed % 5, 1 + seed % 3, 0.3)
+            for i, f in ((spec.i1, spec.f1), (spec.i2, spec.f2)):
+                system = pk.flow_system(spec.nfa, i, f)
+                if system.nfa.n_states == _trimmed(spec.nfa, i, f).nfa.n_states:
+                    kept.append((spec.nfa, i, f))
+        assert len(kept) > 10
+        for nfa, i, f in kept:
+            assert pk.flow_system(nfa, i, f) == _trimmed(nfa, i, f)
+
+    def test_empty_partner_leaves_systems_trimmed(self):
+        # states 1 and 2 of a b^* | a b^* are bisimilar; against an empty
+        # language no match needs a model, so flow_systems merges nothing
+        nfa = Nfa(3, ("a", "b"), frozenset([
+            (0, "a", 1), (0, "a", 2), (1, "b", 1), (2, "b", 2),
+        ]))
+        live, dead = (nfa, {0}, {1, 2}), (nfa, {1}, {0})
+        assert pk.flow_system(*live).nfa.n_states == 2
+        assert pk.flow_systems(live, live) == [pk.flow_system(*live)] * 2
+        assert pk.flow_systems(live, dead) == [_trimmed(*live), _trimmed(*dead)]
+        res = pk.match_fixed(*pk.flow_systems(dead, live), ["a", "b"], 1)
+        assert res.status == pk.UNSAT
+
+    @staticmethod
+    def _answer(monkeypatch, run):
+        """(status, certainty, optimum of the last connected solve)."""
+        objectives = []
+        connected = pk._solve_connected
+
+        def recording(model, reqs):
+            sol = connected(model, reqs)
+            objectives.append(None if sol is None else sum(sol))
+            return sol
+
+        with monkeypatch.context() as m:
+            m.setattr(pk, "_solve_connected", recording)
+            res = run()
+        return res.status, res.certain, objectives[-1] if objectives else None
+
+    def _compare(self, monkeypatch, nfa, sides, thresholds):
+        reduced = [pk.flow_system(nfa, i, f) for i, f in sides]
+        plain = [_trimmed(nfa, i, f) for i, f in sides]
+        letters = sorted(set(reduced[0].letters) | set(reduced[1].letters))
+        for d in thresholds:
+            answers = []
+            for sys1, sys2 in (reduced, plain):
+                if d == "limit":
+                    run = partial(pk.match_limit, sys1, sys2, letters)
+                else:
+                    run = partial(pk.match_fixed, sys1, sys2, letters, d)
+                answers.append(self._answer(monkeypatch, run))
+            assert answers[0] == answers[1], d
+
+    def test_matches_keep_status_and_optimum_on_random_specs(self, monkeypatch):
+        for seed in range(30):
+            spec = gen_random(900 + seed, 2 + seed % 4, 1 + seed % 2, 0.35)
+            sides = [(spec.i1, spec.f1), (spec.i2, spec.f2)]
+            self._compare(monkeypatch, spec.nfa, sides, (None, 1, 2, "limit"))
+
+    @CRITERION_6_POOLS
+    def test_matches_keep_status_and_optimum_on_criterion_6_pools(
+        self, monkeypatch, cnf, thresholds
+    ):
+        pool = build_reduced_pool(gen_sat_instance(cnf))
+        sides = [(pool.i1, pool.f1), (pool.i2, pool.f2)]
+        assert pk.flow_system(pool.nfa, *sides[1]).nfa.n_states < _trimmed(
+            pool.nfa, *sides[1]
+        ).nfa.n_states
+        self._compare(monkeypatch, pool.nfa, sides, thresholds)
+
+
+def _narrow_violation(req, sol):
+    """The cut set before widening: the support states the source does
+    not reach."""
+    values = [sum(sol[v] for v in grp) for grp in req.var_groups]
+    used = [e for e, val in zip(req.system.edges, values) if val > 0]
+    src = next((q for q, v in req.src_vars.items() if sol[v] > 0), None)
+    support = {src} - {None}
+    for (p, _a, q) in used:
+        support |= {p, q}
+    seen, stack = set(), [src] if src is not None else []
+    while stack:
+        p = stack.pop()
+        if p not in seen:
+            seen.add(p)
+            stack.extend(q for (r, _a, q) in used if r == p)
+    return (support - seen) or None
+
+
+def _spokes(k):
+    """0 -a-> 1 -a-> 2, where 1 also leads by e to k symmetric c-cycles
+    u_j <-> v_j, each back to 1 by e: one strongly connected component
+    {1, u_j, v_j} without an initial state.  Against L2 = {aacc} at d = 1
+    the only match with e counted 0 uses a c-cycle the source never
+    reaches, so the match is UNSAT once every cycle is cut off."""
+    trans = [(0, "a", 1), (1, "a", 2)]
+    for j in range(k):
+        u, v = 3 + 2 * j, 4 + 2 * j
+        trans += [(1, "e", u), (u, "c", v), (v, "c", u), (v, "e", 1)]
+    nfa = Nfa(3 + 2 * k, ("a", "c", "e"), frozenset(trans))
+    # built directly: the merge would fold the symmetric cycles into one
+    sys1 = pk.FlowSystem(nfa, frozenset({0}), frozenset({2}), tuple(sorted(trans)))
+    line = Nfa(5, ("a", "c"), frozenset([
+        (0, "a", 1), (1, "a", 2), (2, "c", 3), (3, "c", 4),
+    ]))
+    return sys1, pk.flow_system(line, {0}, {4})
+
+
+class TestWidenedCuts:
+    @staticmethod
+    def _flows(system, cap):
+        """Every conserved flow of system with edge values up to cap, as
+        (edge values, source, sink)."""
+        n = system.nfa.n_states
+        for values in itertools.product(range(cap + 1), repeat=len(system.edges)):
+            net = [0] * n
+            for (p, _a, q), x in zip(system.edges, values):
+                net[p] += x
+                net[q] -= x
+            for src in sorted(system.i):
+                for snk in sorted(system.f):
+                    want = [0] * n
+                    want[src] += 1
+                    want[snk] -= 1
+                    if net == want:
+                        yield values, src, snk
+
+    def test_every_connected_flow_satisfies_every_widened_cut(self):
+        # every conserved flow up to edge value 2 (1 on the spokes) of 30
+        # random systems with 4 to 7 edges and of hand-built ones: each
+        # disconnected flow gives a cut, which must admit every connected
+        # flow of its system
+        systems = [_trimmed(nfa, i, f) for nfa, i, f, _n in _bisimilar_tails()]
+        systems.append(_spokes(2)[0])
+        for seed in range(100):
+            spec = gen_random(500 + seed, 3 + seed % 2, 1 + seed % 2, 0.3)
+            for i, f in ((spec.i1, spec.f1), (spec.i2, spec.f2)):
+                system = pk.flow_system(spec.nfa, i, f)
+                if 4 <= len(system.edges) <= 7 and len(systems) < 35:
+                    systems.append(system)
+        cuts = wider = 0
+        for system in systems:
+            cap = 2 if len(system.edges) <= 7 else 1
+            model = pk.MipModel()
+            side = pk._add_flow(model, system, cap)
+            req = pk._ConnReq(system, [[v] for v in side.edge_vars], side.src_vars, cap)
+            connected = []
+            for values, src, snk in self._flows(system, cap):
+                sol = [0] * len(model.lb)
+                for v, x in zip(side.edge_vars, values):
+                    sol[v] = x
+                sol[side.src_vars[src]] = sol[side.snk_vars[snk]] = 1
+                cut = req.violation(sol)
+                if cut is None:
+                    connected.append(sol)
+                    continue
+                # the widened set holds the narrow one, and the flow that
+                # produced it breaks its rows
+                narrow = _narrow_violation(req, sol)
+                assert narrow <= cut
+                wider += narrow != cut
+                alone = pk.MipModel()
+                alone.lb, alone.ub = model.lb, model.ub
+                req.add_cut(alone, cut)
+                with pytest.raises(pk.SolverStall):
+                    alone._verify(sol)
+                req.add_cut(model, cut)
+                cuts += 1
+            assert connected
+            for sol in connected:
+                model._verify(sol)  # raises SolverStall on a violated row
+        assert cuts > 500 and wider > 20
+
+    def _solves(self, monkeypatch, k, narrow):
+        sys1, sys2 = _spokes(k)
+        solves = []
+        real = pk.MipModel.solve
+
+        def counting(model):
+            solves.append(model)
+            return real(model)
+
+        with monkeypatch.context() as m:
+            m.setattr(pk.MipModel, "solve", counting)
+            if narrow:
+                m.setattr(pk._ConnReq, "violation", _narrow_violation)
+            res = pk.match_fixed(sys1, sys2, ["a", "c", "e"], 1)
+        assert res.status == pk.UNSAT and res.certain
+        return len(solves)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_one_wide_cut_covers_symmetric_cycles(self, monkeypatch, k):
+        assert self._solves(monkeypatch, k, narrow=True) >= k
+        assert self._solves(monkeypatch, k, narrow=False) <= 2
+
+
+class TestNoLeakedWarnings:
+    def test_solves_raise_no_warning(self, monkeypatch):
+        # a SAT and an UNSAT match and a match with a cut round, with every
+        # warning an error: scipy's warning about the HiGHS option passed
+        # through must not reach the caller
+        spec = gen_parity()
+        sys1 = pk.flow_system(spec.nfa, spec.i1, spec.f1)
+        sys2 = pk.flow_system(spec.nfa, spec.i2, spec.f2)
+        spokes = _spokes(2)
+        solves = []
+        real = pk.MipModel.solve
+
+        def counting(model):
+            solves.append(model)
+            return real(model)
+
+        monkeypatch.setattr(pk.MipModel, "solve", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = list(warnings.filters)
+            assert pk.match_fixed(sys1, sys2, ["a"], 1).status == pk.SAT
+            assert pk.match_fixed(sys1, sys2, ["a"], None).status == pk.UNSAT
+            assert pk.match_fixed(*spokes, ["a", "c", "e"], 1).status == pk.UNSAT
+            assert warnings.filters == before
+        assert len(solves) >= 4
