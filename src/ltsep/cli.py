@@ -122,7 +122,7 @@ def _separator_doc(handle, args, explicit):
     doc = {"k": handle.k, "d": handle.d, "form": "implicit"}
     if explicit:
         try:
-            nfa, i, f = separ.separator_automaton(handle, budget=args.state_budget)
+            nfa, i, f = separ.separator_automaton(handle)
             doc["form"] = "explicit"
             doc["states"] = nfa.n_states
             if args.dot:

@@ -51,7 +51,7 @@ small box settles nothing.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,9 +163,10 @@ class FlowSystem:
     to be matched is empty), so every model built on it has one variable
     per edge of the smallest automaton this reduction reaches; edges is
     the ordered transition list the multiplicity variables refer to.  The strongly
-    connected components and each state's in-edges are computed once, on
-    first use, and shared by the letter bounds, the seeded rows and every
-    connectivity cut of every model built on the system.
+    connected components, the letter bounds and each state's in-edges are
+    computed once, on first use, and shared by every model built on the
+    system: its box, its threshold rows, its seeded rows and its
+    connectivity cuts.
     """
 
     nfa: Nfa
@@ -181,6 +182,12 @@ class FlowSystem:
     def components(self):
         """State -> representative of its strongly connected component."""
         return _components(self)
+
+    @cached_property
+    def letter_bounds(self):
+        """Letter -> upper bound on its count over the language, None when
+        unbounded (_letter_bounds)."""
+        return _letter_bounds(self)
 
     @cached_property
     def in_edges(self):
@@ -296,35 +303,54 @@ class FlowAssignment:
     edge_mult: dict
     source: int
     sink: int
-    letter_counts: dict
-
-
-def _letter_index(system, edge_vars):
-    """Map each letter to the variables of its edges, in edge order."""
-    index = {}
-    for (_p, a, _q), v in zip(system.edges, edge_vars):
-        index.setdefault(a, []).append(v)
-    return index
 
 
 @dataclass
 class _SideVars:
+    """One side's variables in a model: one per edge of system and, for a
+    path, one selector per initial and per final state (none for a
+    circulation)."""
+
     system: FlowSystem
     edge_vars: list
     src_vars: dict
     snk_vars: dict
-    by_letter: dict  # letter -> edge variables carrying it
+
+    def __post_init__(self):
+        self.by_letter = {}  # letter -> edge variables carrying it, in edge order
+        for (_p, a, _q), v in zip(self.system.edges, self.edge_vars):
+            self.by_letter.setdefault(a, []).append(v)
 
     def count_terms(self, sym):
         return {v: 1 for v in self.by_letter.get(sym, ())}
 
-    def count_var(self, model, sym, cap):
-        """A single bounded variable tied by equality to the letter's count."""
-        x = model.add_var(0, cap)
-        terms = self.count_terms(sym)
-        terms[x] = terms.get(x, 0) - 1
-        model.add_eq(terms, 0)
-        return x
+    def edge_mult(self, sol):
+        """Edge -> its value in sol, for every edge sol uses."""
+        return {e: sol[v] for e, v in zip(self.system.edges, self.edge_vars) if sol[v]}
+
+    def conn_req(self, cap, *cycles):
+        """The requirement that this side's flow, plus the given circulations
+        on the same system edge by edge, be connected to its source."""
+        groups = [list(vs) for vs in zip(self.edge_vars, *(c.edge_vars for c in cycles))]
+        return _ConnReq(self.system, groups, self.src_vars, cap)
+
+
+def _tied(model, terms, cap):
+    """A new variable in [0, cap] tied by equality to the sum of terms."""
+    x = model.add_var(0, cap)
+    model.add_eq({**terms, x: -1}, 0)
+    return x
+
+
+def _add_equal(model, terms1, terms2):
+    """The row sum(terms1) = sum(terms2); the two hold different variables."""
+    model.add_eq({**terms1, **{v: -c for v, c in terms2.items()}}, 0)
+
+
+def _add_close(model, x, y, flag, big):
+    """The rows |x - y| <= big * flag."""
+    model.add_le({x: 1, y: -1, flag: -big}, 0)
+    model.add_le({y: 1, x: -1, flag: -big}, 0)
 
 
 def _conservation(system, edge_vars):
@@ -347,13 +373,6 @@ def _add_flow(model, system, cap):
     edge_vars = [model.add_var(0, cap) for _ in system.edges]
     src_vars = {q: model.add_var(0, 1) for q in sorted(system.i)}
     snk_vars = {q: model.add_var(0, 1) for q in sorted(system.f)}
-    side = _SideVars(
-        system, edge_vars, src_vars, snk_vars, _letter_index(system, edge_vars)
-    )
-    if not src_vars or not snk_vars:
-        # empty language: no endpoints selectable
-        model.add_eq({}, 1)
-        return side
     model.add_eq({v: 1 for v in src_vars.values()}, 1)
     model.add_eq({v: 1 for v in snk_vars.values()}, 1)
     for q, terms in enumerate(_conservation(system, edge_vars)):
@@ -362,16 +381,16 @@ def _add_flow(model, system, cap):
         if q in snk_vars:
             terms[snk_vars[q]] = 1
         model.add_eq(terms, 0)
-    return side
+    return _SideVars(system, edge_vars, src_vars, snk_vars)
 
 
 def _add_circulation(model, system, cap):
     """Conserved flow with no endpoints (a disjoint union of cycles)."""
-    cyc_vars = [model.add_var(0, cap) for _ in system.edges]
-    for terms in _conservation(system, cyc_vars):
+    side = _SideVars(system, [model.add_var(0, cap) for _ in system.edges], {}, {})
+    for terms in _conservation(system, side.edge_vars):
         if terms:
             model.add_eq(terms, 0)
-    return cyc_vars
+    return side
 
 
 @dataclass
@@ -382,7 +401,6 @@ class _ConnReq:
     var_groups: list  # per edge: list of variables whose sum is the flow value
     src_vars: dict
     cap: int
-    comps: list = field(default_factory=list)  # every comp cut so far
 
     def violation(self, sol):
         """Return the set C to cut, or None when the support is connected.
@@ -460,7 +478,6 @@ class _ConnReq:
         can reach cap times the group's size, so one unit of entering flow
         or a source inside comp must allow that much.
         """
-        self.comps.append(comp)
         edges = self.system.edges
         into = sorted(j for q in comp for j in self.system.in_edges[q])
         entering = [
@@ -502,16 +519,9 @@ def _solve_connected(model, reqs, max_rounds=200):
 
 
 def _extract(side, sol):
-    mult = {}
-    counts = {}
-    for e, v in zip(side.system.edges, side.edge_vars):
-        x = sol[v]
-        if x:
-            mult[e] = x
-            counts[e[1]] = counts.get(e[1], 0) + x
     src = next(q for q, v in side.src_vars.items() if sol[v] > 0)
     snk = next(q for q, v in side.snk_vars.items() if sol[v] > 0)
-    return FlowAssignment(mult, src, snk, counts)
+    return FlowAssignment(side.edge_mult(sol), src, snk)
 
 
 def _add_support_reach(model, system, side, cap):
@@ -661,14 +671,14 @@ def _letter_bounds(system):
     return bounds
 
 
-def _fixed_bound(sys1, sys2, letters, d, bounds):
+def _fixed_bound(sys1, sys2, letters, d):
     """The box in which match_fixed first solves.
 
     At a threshold d the box bounds the run length of some match on each
     side, so an UNSAT answer inside it is final.  Take a match and one
     side's run.  For each letter of letters, mark its occurrences if it
     occurs fewer than d times, else mark d of them: at most min(d, m) marks
-    for a letter whose count is at most m on this side (_letter_bounds), so
+    for a letter whose count is at most m on this side (letter_bounds), so
     M marks in all.  The unmarked edges form at most M + 1 stretches.  A
     stretch of n or more edges, n the side's state count, repeats a state,
     and cutting out the cycle between the repeats leaves a run between the
@@ -696,21 +706,21 @@ def _fixed_bound(sys1, sys2, letters, d, bounds):
     if d is None:
         return 2 * (sys1.nfa.n_states + sys2.nfa.n_states) + 3
     box = 0
-    for system, side in zip((sys1, sys2), bounds):
+    for system in (sys1, sys2):
+        bounds = system.letter_bounds
         marks = 0
         for sym in letters:
-            if sym in side:
-                marks += d if side[sym] is None else min(d, side[sym])
+            if sym in bounds:
+                marks += d if bounds[sym] is None else min(d, bounds[sym])
         box = max(box, system.nfa.n_states * (marks + 1))
     return box
 
 
-def _match_model(sys1, sys2, letters, d, bounds, box):
+def _match_model(sys1, sys2, letters, d, box):
     """The match_fixed model with every variable bound, count variable,
     big-M row and cut coefficient set to box.
 
-    bounds is the pair of _letter_bounds of the two sides (None when d is
-    None).  Returns the model, both sides' variables and the connectivity
+    Returns the model, both sides' variables and the connectivity
     requirements.
     """
     model = MipModel()
@@ -722,27 +732,18 @@ def _match_model(sys1, sys2, letters, d, bounds, box):
         equal = d is None or not t1 or not t2
         if not equal:
             # the both->=d branch is unreachable when a side stays below d
-            m1 = bounds[0].get(sym, 0)
-            m2 = bounds[1].get(sym, 0)
+            m1 = sys1.letter_bounds.get(sym, 0)
+            m2 = sys2.letter_bounds.get(sym, 0)
             equal = (m1 is not None and m1 < d) or (m2 is not None and m2 < d)
         if equal:
-            terms = dict(t1)
-            for v, c in t2.items():
-                terms[v] = terms.get(v, 0) - c
-            model.add_eq(terms, 0)
+            _add_equal(model, t1, t2)
             continue
-        x1 = s1.count_var(model, sym, box)
-        x2 = s2.count_var(model, sym, box)
+        x1, x2 = _tied(model, t1, box), _tied(model, t2, box)
         dif = model.add_var(0, 1)
-        model.add_le({x1: 1, x2: -1, dif: -box}, 0)
-        model.add_le({x2: 1, x1: -1, dif: -box}, 0)
+        _add_close(model, x1, x2, dif, box)
         model.add_ge({x1: 1, dif: -d}, 0)
         model.add_ge({x2: 1, dif: -d}, 0)
-    reqs = [
-        _ConnReq(sys1, [[v] for v in s1.edge_vars], s1.src_vars, box),
-        _ConnReq(sys2, [[v] for v in s2.edge_vars], s2.src_vars, box),
-    ]
-    return model, s1, s2, reqs
+    return model, s1, s2, [s1.conn_req(box), s2.conn_req(box)]
 
 
 def match_fixed(sys1, sys2, letters, d, cap=100_000):
@@ -755,24 +756,17 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
     the MILP is far easier than in the cap box.  Its answer stands when it
     is UNSAT at a given d, or SAT with objective at most B + 4, which is
     then the cap optimum (see _fixed_bound).  Otherwise (UNSAT at d=None, a
-    costlier optimum, or a stall) the model is rebuilt at cap, seeded with
-    the connectivity cuts of the boxed solve (they hold for every connected
-    flow), and solved again.  A stall at cap keeps a boxed SAT answer: its
-    flows are a match, perhaps not the cheapest.
+    costlier optimum, or a stall) the model is built again at cap and
+    solved again.  A stall at cap keeps a boxed SAT answer: its flows are a
+    match, perhaps not the cheapest.
     """
     if not sys1.i or not sys1.f or not sys2.i or not sys2.f:
         return MatchResult(UNSAT)
     letters = list(letters)
-    bounds = None if d is None else (_letter_bounds(sys1), _letter_bounds(sys2))
-    fixed = _fixed_bound(sys1, sys2, letters, d, bounds)
+    fixed = _fixed_bound(sys1, sys2, letters, d)
     res = MatchResult(UNKNOWN)
-    seen = ([], [])
     for box in sorted({min(cap, fixed), cap}):
-        model, s1, s2, reqs = _match_model(sys1, sys2, letters, d, bounds, box)
-        for req, comps in zip(reqs, seen):
-            for comp in comps:
-                req.add_cut(model, comp)
-        seen = [req.comps for req in reqs]
+        model, s1, s2, reqs = _match_model(sys1, sys2, letters, d, box)
         try:
             sol = _solve_connected(model, reqs)
         except SolverStall:
@@ -794,8 +788,8 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
 class PumpCertificate:
     """Base flows plus circulations matching at every counting threshold.
 
-    Off the unbounded letter set U, base counts and cycle counts agree between
-    the two sides; on U both cycles have count >= 1.  Hence base + t*cycle on
+    Off a set U of letters, base counts and cycle counts agree between the
+    two sides; on U both cycles have count >= 1.  Hence base + t*cycle on
     each side realizes a matching pair at threshold t for every t.
     """
 
@@ -803,7 +797,6 @@ class PumpCertificate:
     base2: FlowAssignment
     cycle1: dict
     cycle2: dict
-    unbounded_set: frozenset
 
     def pumped(self, which, t):
         """The flow base + t*cycle for one side, as a FlowAssignment."""
@@ -812,10 +805,7 @@ class PumpCertificate:
         mult = dict(base.edge_mult)
         for e, m in cyc.items():
             mult[e] = mult.get(e, 0) + t * m
-        counts = {}
-        for (p, a, q), m in mult.items():
-            counts[a] = counts.get(a, 0) + m
-        return FlowAssignment(mult, base.source, base.sink, counts)
+        return FlowAssignment(mult, base.source, base.sink)
 
 
 def match_limit(sys1, sys2, letters, cap=100_000):
@@ -827,72 +817,32 @@ def match_limit(sys1, sys2, letters, cap=100_000):
     s2 = _add_flow(model, sys2, cap)
     c1 = _add_circulation(model, sys1, cap)
     c2 = _add_circulation(model, sys2, cap)
-
-    cyc_index1 = _letter_index(sys1, c1)
-    cyc_index2 = _letter_index(sys2, c2)
-
-    def cyc_terms(index, sym):
-        return {v: 1 for v in index.get(sym, ())}
-
-    letters = list(letters)
-    u_vars = {}
     for sym in letters:
-        b1 = s1.count_terms(sym)
-        b2 = s2.count_terms(sym)
-        g1 = cyc_terms(cyc_index1, sym)
-        g2 = cyc_terms(cyc_index2, sym)
+        b1, b2 = s1.count_terms(sym), s2.count_terms(sym)
+        g1, g2 = c1.count_terms(sym), c2.count_terms(sym)
         if not g1 or not g2:
-            # some side cannot grow this letter: it can never join U
-            for a, b in ((b1, b2), (g1, g2)):
-                terms = dict(a)
-                for v, c in b.items():
-                    terms[v] = terms.get(v, 0) - c
-                if terms:
-                    model.add_eq(terms, 0)
+            # some side cannot grow this letter: it can never join U.  A
+            # letter's cycle terms are empty exactly when its base terms are
+            if b1 or b2:
+                _add_equal(model, b1, b2)
+                _add_equal(model, g1, g2)
             continue
-
-        def bounded(terms):
-            x = model.add_var(0, cap)
-            t = dict(terms)
-            t[x] = t.get(x, 0) - 1
-            model.add_eq(t, 0)
-            return x
-
-        x1, x2, y1, y2 = bounded(b1), bounded(b2), bounded(g1), bounded(g2)
+        x1, x2, y1, y2 = (_tied(model, t, cap) for t in (b1, b2, g1, g2))
         u = model.add_var(0, 1)
-        u_vars[sym] = u
-        for a, b in ((x1, x2), (x2, x1), (y1, y2), (y2, y1)):
-            model.add_le({a: 1, b: -1, u: -cap}, 0)
+        _add_close(model, x1, x2, u, cap)
+        _add_close(model, y1, y2, u, cap)
         model.add_ge({y1: 1, u: -1}, 0)
         model.add_ge({y2: 1, u: -1}, 0)
-    reqs = [
-        _ConnReq(sys1, [[v] for v in s1.edge_vars], s1.src_vars, cap),
-        _ConnReq(sys2, [[v] for v in s2.edge_vars], s2.src_vars, cap),
-        _ConnReq(
-            sys1,
-            [[v, w] for v, w in zip(s1.edge_vars, c1)],
-            s1.src_vars,
-            cap,
-        ),
-        _ConnReq(
-            sys2,
-            [[v, w] for v, w in zip(s2.edge_vars, c2)],
-            s2.src_vars,
-            cap,
-        ),
-    ]
+    reqs = [s1.conn_req(cap), s2.conn_req(cap), s1.conn_req(cap, c1), s2.conn_req(cap, c2)]
     try:
         sol = _solve_connected(model, reqs)
     except SolverStall:
         return MatchResult(UNKNOWN)
     if sol is None:
         return MatchResult(UNSAT, certain=False)
-    base1 = _extract(s1, sol)
-    base2 = _extract(s2, sol)
-    cyc1 = {e: sol[v] for e, v in zip(sys1.edges, c1) if sol[v]}
-    cyc2 = {e: sol[v] for e, v in zip(sys2.edges, c2) if sol[v]}
-    u_set = frozenset(sym for sym, v in u_vars.items() if sol[v])
-    cert = PumpCertificate(base1, base2, cyc1, cyc2, u_set)
+    cert = PumpCertificate(
+        _extract(s1, sol), _extract(s2, sol), c1.edge_mult(sol), c2.edge_mult(sol)
+    )
     return MatchResult(SAT, cert, None)
 
 

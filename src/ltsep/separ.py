@@ -474,16 +474,17 @@ def separator_membership(handle, w):
     )
 
 
-def separator_automaton(handle, budget=100_000):
+def separator_automaton(handle):
     """Materialize the separator as an explicit deterministic automaton.
 
     States are (window buffer, capped counts, fill degree), numbered in
     discovery order of a window walk over one state looping on every letter;
     a state accepts when its flushed signature is the capped image of some
-    L1 word.
+    L1 word.  The walk, and the enumeration of L1's images on a handle that
+    does not hold them, explore at most the handle's state_budget states.
     """
     spec = handle.spec
-    k, d = handle.k, handle.d
+    k, d, budget = handle.k, handle.d, handle.state_budget
     sigs = handle.signatures
     if sigs is None:
         sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d, budget)

@@ -6,6 +6,7 @@ Later criteria reuse the verdicts computed by earlier ones through the
 cached helpers below.
 """
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -335,7 +336,9 @@ def test_criterion_7_separator_soundness(capsys):
         if compared >= 3:
             break
         try:
-            nfa, i, f = separator_automaton(handle, budget=100_000)
+            nfa, i, f = separator_automaton(
+                dataclasses.replace(handle, state_budget=100_000)
+            )
         except Exception:
             continue
         compared += 1

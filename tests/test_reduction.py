@@ -8,11 +8,12 @@ import sys
 import pytest
 
 import ltsep
-from ltsep.automata import Nfa, accepts
+from ltsep.automata import LangSpec, Nfa, accepts
 from ltsep.profiles import equivalent
 from ltsep import monoid, reduction, separ
 from ltsep import parikh as pk
 from ltsep.reduction import (
+    DPattern,
     SyncBudgetError,
     build_reduced,
     build_reduced_pool,
@@ -194,6 +195,25 @@ class TestBuildReduced:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         with pytest.raises(ValueError):
             decode_pattern(red, r1, r1 + r1, 5)
+
+    def test_weak_letter_decodes_to_its_word(self):
+        # L1 = L2 = {a}: each side reads the one weak letter of the pair
+        # (0, 1), and a match on it decodes to the shared word a
+        nfa = Nfa(2, ("a",), frozenset([(0, "a", 1)]))
+        one = frozenset([0]), frozenset([1])
+        spec = LangSpec(nfa, *one, *one)
+        red = build_reduced(spec)
+        sys1 = pk.flow_system(red.nfa, red.i1, red.f1)
+        sys2 = pk.flow_system(red.nfa, red.i2, red.f2)
+        letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
+        res = pk.match_fixed(sys1, sys2, letters, 1)
+        assert res.status == pk.SAT
+        r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
+        r2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)
+        assert r1 == r2 and len(r1) == 1
+        assert red.catalog[r1[0]].kind == "w"
+        assert red.catalog[r1[0]].pairs == frozenset([(0, 1)])
+        assert decode_pattern(red, r1, r2, 1) == DPattern(word=("a",), origin=spec)
 
 
 class TestFindRun:

@@ -16,7 +16,7 @@ from ltsep.automata import (
     serialize_spec,
     shortest_common_word,
 )
-from ltsep.monoid import profile_width_bound, transition_monoid
+from ltsep.monoid import MonoidBudgetError, profile_width_bound, transition_monoid
 from ltsep.profiles import (
     AnnotationBudgetError,
     Profile,
@@ -553,6 +553,37 @@ class TestEngineConfig:
         assert v.separable is None
         assert v.flags == ["state-budget"]
         assert (v.k, v.d) == (4, 1)
+
+
+class TestBudgetExits:
+    """The answers of the LT and LTT settlements when a solver or monoid
+    budget runs out on the reduced automaton."""
+
+    def test_ltt_unknown_when_match_limit_stalls(self, monkeypatch):
+        monkeypatch.setattr(pk, "match_limit", lambda *args: pk.MatchResult(pk.UNKNOWN))
+        v = decide_ltt(gen_parity())
+        assert (v.separable, v.k, v.d) == (None, 1, "limit")
+        assert v.flags == ["solver-budget"]
+
+    def test_ltt_incomplete_when_doubling_runs_out(self, monkeypatch):
+        # parity matches at every threshold; without its pump certificate
+        # the doubling search stops at DOUBLING_MAX without an answer
+        monkeypatch.setattr(
+            pk, "match_limit", lambda *args: pk.MatchResult(pk.UNSAT, certain=False)
+        )
+        monkeypatch.setattr(separ, "DOUBLING_MAX", 2)
+        v = decide_ltt(gen_parity())
+        assert (v.separable, v.k, v.d) == (None, 1, "limit")
+        assert v.flags == ["certificate-incomplete"]
+
+    def test_lt_separable_without_width_past_monoid_budget(self, monkeypatch):
+        def over_budget(nfa):
+            raise MonoidBudgetError("over budget")
+
+        monkeypatch.setattr(separ, "transition_monoid", over_budget)
+        v = decide_lt(_fork_spec())
+        assert (v.separable, v.k, v.d) == (True, 1, 1)
+        assert "direct_width" not in v.notes
 
 
 # a satisfiable formula decided through the fallback's pool exact match
