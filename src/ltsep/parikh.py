@@ -18,24 +18,21 @@ the padding tails of side 2.  flow_systems builds the systems of two
 languages to be matched and skips the merge when one of them is empty,
 since such a match is UNSAT before any model is built.
 
-Connectivity of the used-edge subgraph to the chosen source has two
-encodings.  The two-sided matches (match_fixed, match_limit) start from one
-row per state of each strongly connected component that holds no initial
-state (_ConnReq.seed: flow inside the component needs flow entering it),
-then add cut rows lazily: solve, check the support of the solution, and
-forbid disconnected supports until the support is connected.  Each cut
-covers every state the source does not reach in the components the
-disconnected support touches, so one round rules out all the symmetric
-cycles of a component.  Both kinds of row hold for every connected flow,
-so neither changes the feasible set or the optimum.  The one-sided query
-(feasible) adds a commodity flow up front (_add_support_reach) and solves
-once; the engine no longer calls it (separator membership is an exact
-window search in separ), but the benchmark's tracer still wraps it by
-name, so it stays until that tracer drops it.  Integer feasibility itself
-is delegated to scipy's MILP interface, with HiGHS's feasibility jump
-heuristic off: these models close at the root node, and the heuristic
-only delays the root LP.  Returned solutions are re-verified in exact
-integer arithmetic before use.
+Connectivity of the used-edge subgraph to the chosen source has one
+encoding, shared by every query (match_fixed, match_limit and the one-sided
+feasible).  It starts from one row per state of each strongly connected
+component that holds no initial state (_ConnReq.seed: flow inside the
+component needs flow entering it), then adds cut rows lazily: solve, check
+the support of the solution, and forbid disconnected supports until the
+support is connected.  Each cut covers every state the source does not
+reach in the components the disconnected support touches, so one round
+rules out all the symmetric cycles of a component.  Both kinds of row hold
+for every connected flow, so neither changes the feasible set or the
+optimum.  Integer feasibility itself is delegated to scipy's MILP
+interface, with HiGHS's feasibility jump heuristic off: these models close
+at the root node, and the heuristic only delays the root LP.  Returned
+solutions are re-verified in exact integer arithmetic before use;
+infeasibility answers are HiGHS's, in floating point.
 
 Every model bounds its variables by a box, which is also the big-M of its
 threshold rows and cuts; HiGHS is far faster in a small box than in the
@@ -524,71 +521,28 @@ def _extract(side, sol):
     return FlowAssignment(side.edge_mult(sol), src, snk)
 
 
-def _add_support_reach(model, system, side, cap):
-    """One-shot support-connectivity encoding for a single flow side.
-
-    Edge-use indicators z_e plus an auxiliary commodity: the chosen source
-    injects |E| units, each used edge absorbs one unit at its tail, and the
-    commodity may only travel along used edges.  Feasible exactly when every
-    used edge's tail is reachable from the source through used edges, which
-    together with conservation makes the flow Eulerian-decomposable.  The
-    big-M coefficient is |E|+1, independent of the flow cap.
-    """
-    edges = system.edges
-    if not edges or not side.src_vars:
-        return
-    big = len(edges) + 1
-    z = [model.add_var(0, 1) for _ in edges]
-    y = [model.add_var(0, big) for _ in edges]
-    for m, zi, yi in zip(side.edge_vars, z, y):
-        model.add_le({m: 1, zi: -cap}, 0)  # used => z = 1
-        model.add_ge({m: 1, zi: -1}, 0)  # z = 1 => used
-        model.add_le({yi: 1, zi: -big}, 0)  # commodity only on used edges
-    rows = [{} for _ in range(system.nfa.n_states)]
-    for (p, _a, r), zi, yi in zip(edges, z, y):
-        rows[p][yi] = -1
-        rows[p][zi] = -1
-        rows[r][yi] = rows[r].get(yi, 0) + 1  # a self-loop cancels to 0
-    for q, terms in enumerate(rows):
-        if q in side.src_vars:
-            terms[side.src_vars[q]] = big
-        if terms:
-            model.add_ge(terms, 0)
-
-
 @dataclass
 class FeasResult:
     status: str
     assignment: object = None
 
 
-def feasible(system, count_eq=None, count_ge=None, count_zero_rest=False, cap=100_000):
-    """Search for a flow whose letter counts satisfy the given constraints.
+def feasible(system, counts, cap=100_000):
+    """Search for a flow of system whose letter counts are exactly counts
+    (symbol -> count; a letter not in counts counts 0).
 
-    count_eq: symbol -> exact count; count_ge: symbol -> lower bound;
-    count_zero_rest forces every unmentioned letter of the system to count 0.
+    One equality row per letter on the flow of _add_flow, solved under the
+    connectivity rows and cuts every match uses.
     """
-    count_eq = dict(count_eq or {})
-    count_ge = dict(count_ge or {})
     if not system.i or not system.f:
         # trimmed-empty language: feasible only never
         return FeasResult(UNSAT)
     model = MipModel()
     side = _add_flow(model, system, cap)
-    mentioned = set(count_eq) | set(count_ge)
-    for sym, c in count_eq.items():
-        model.add_eq(side.count_terms(sym), c)
-    for sym, c in count_ge.items():
-        model.add_ge(side.count_terms(sym), c)
-    if count_zero_rest:
-        for sym in system.letters:
-            if sym not in mentioned:
-                terms = side.count_terms(sym)
-                if terms:
-                    model.add_eq(terms, 0)
-    _add_support_reach(model, system, side, cap)
+    for sym in dict.fromkeys((*system.letters, *counts)):
+        model.add_eq(side.count_terms(sym), counts.get(sym, 0))
     try:
-        sol = model.solve()
+        sol = _solve_connected(model, [side.conn_req(cap)])
     except SolverStall:
         return FeasResult(UNKNOWN)
     if sol is None:

@@ -111,7 +111,7 @@ def project_profile_word(profiles, syms):
     return tuple(profiles[s].right[0] for s in syms)
 
 
-def annotate(nfa, i, f, k, state_budget=200_000):
+def annotate(nfa, i, f, k, state_budget):
     """Rewrite (nfa, i, f) into an automaton over realizable profiles.
 
     States carry the source state, the committed window of the last <= floor(k/2)
@@ -314,8 +314,9 @@ def window_walk(delta, starts, win, budget, keep=None):
     fill degree stops at the window width (past it the flush arithmetic no
     longer depends on the length).  Yields (src, a, dst, new) for each
     explored edge, first (None, None, st, True) for each start state; new
-    says whether dst is reached for the first time.  New states whose
-    counts fail keep are dropped.  Raises AnnotationBudgetError instead of
+    says whether dst is reached for the first time.  A state whose counts
+    fail keep is pruned: not explored, and an edge into it is yielded as
+    (src, a, None, False).  Raises AnnotationBudgetError instead of
     exceeding budget states.
     """
     w_len = win.kl + win.kr
@@ -338,6 +339,7 @@ def window_walk(delta, starts, win, budget, keep=None):
                 yield src, a, dst, False
                 continue
             if keep is not None and not keep(ncounts):
+                yield src, a, None, False
                 continue
             if len(seen) >= budget:
                 raise AnnotationBudgetError(

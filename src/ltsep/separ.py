@@ -330,20 +330,19 @@ def decide_ltt(spec, cfg=None):
     return _decide_full(spec, cfg, "ltt", _settle_ltt)
 
 
-def _meets(nfa, i, f, targets, k, d, budget):
-    """Does some word of L(nfa, i, f) have its capped image in targets?
+def _goal_filter(win, targets):
+    """The counts of targets in win, and the test compat(counts): can a
+    state with these capped counts still grow into one of them?
 
-    Walks the language's sliding windows, pruning any state whose capped
-    counts can no longer grow into a target (counts are monotone along a
-    run, so a state can still reach a target when every bit of its counts
-    is set at the same level in the target's), with early exit on a hit.
-    Returns True or False, or None past budget states.
+    Counts are monotone along a run, so a state can still reach a target
+    when every bit of its counts is set at the same level in the target's;
+    a state that fails the test, and every state after it, has no flushed
+    signature among the targets.
     """
-    win = Windows(k, d)
     goals = {win.counts_of(t) for t in targets}
     # level c, profile bit -> the goals holding it at level c, as a bitmask
     # over the goals' order
-    holders = [{} for _ in range(d)]
+    holders = [{} for _ in range(win.d)]
     for j, goal in enumerate(goals):
         for c, level in enumerate(goal):
             for bit in set_bits(level):
@@ -360,11 +359,23 @@ def _meets(nfa, i, f, targets, k, d, budget):
                     return False
         return bool(alive)
 
+    return goals, compat
+
+
+def _meets(nfa, i, f, targets, k, d, budget):
+    """Does some word of L(nfa, i, f) have its capped image in targets?
+
+    Walks the language's sliding windows, pruned by _goal_filter, with
+    early exit on a hit.  Returns True or False, or None past budget
+    states.
+    """
+    win = Windows(k, d)
+    goals, compat = _goal_filter(win, targets)
     fset = set(f)
     walk = window_walk(out_edges(nfa), i, win, budget, compat)
     try:
-        for _src, _a, (q, buf, counts, fill), new in walk:
-            if new and q in fset and win.flush(buf, counts, fill) in goals:
+        for _src, _a, st, new in walk:
+            if new and st[0] in fset and win.flush(*st[1:]) in goals:
                 return True
     except AnnotationBudgetError:
         return None
@@ -478,10 +489,13 @@ def separator_automaton(handle):
     """Materialize the separator as an explicit deterministic automaton.
 
     States are (window buffer, capped counts, fill degree), numbered in
-    discovery order of a window walk over one state looping on every letter;
-    a state accepts when its flushed signature is the capped image of some
-    L1 word.  The walk, and the enumeration of L1's images on a handle that
-    does not hold them, explore at most the handle's state_budget states.
+    discovery order of a window walk over one state looping on every
+    letter; a state accepts when its flushed signature is the capped image
+    of some L1 word.  The walk is pruned as _meets prunes it (_goal_filter):
+    no state past a pruned one accepts, so every edge into a pruned state
+    goes to one rejecting sink, numbered last.  The walk, and the
+    enumeration of L1's images on a handle that does not hold them, explore
+    at most the handle's state_budget states.
     """
     spec = handle.spec
     k, d, budget = handle.k, handle.d, handle.state_budget
@@ -491,22 +505,30 @@ def separator_automaton(handle):
     alphabet = tuple(spec.nfa.alphabet)
     loops = {0: [(a, 0) for a in alphabet]}
     win = Windows(k, d)
+    goals, compat = _goal_filter(win, sigs)
     index = {}
     transitions = set()
+    pruned = set()
     try:
-        for src, a, st, new in window_walk(loops, (0,), win, budget):
+        for src, a, st, new in window_walk(loops, (0,), win, budget, compat):
             if new:
                 index[st] = len(index)
-            if src is not None:
+            if st is None:
+                pruned.add((index[src], a))
+            elif src is not None:
                 transitions.add((index[src], a, index[st]))
     except AnnotationBudgetError:
         raise AnnotationBudgetError(
             "separator automaton exceeded %d states" % budget
         ) from None
-    goals = {win.counts_of(sig) for sig in sigs}
     f = frozenset(
         n for (_q, buf, counts, fill), n in index.items()
         if win.flush(buf, counts, fill) in goals
     )
-    nfa = Nfa(len(index), alphabet, frozenset(transitions))
+    n = len(index)
+    if pruned:
+        transitions |= {(p, a, n) for p, a in pruned}
+        transitions |= {(n, a, n) for a in alphabet}
+        n += 1
+    nfa = Nfa(n, alphabet, frozenset(transitions))
     return nfa, frozenset([0]), f

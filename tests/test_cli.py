@@ -217,6 +217,17 @@ class TestWitnessAndSeparator:
         assert doc["separator"]["states"] >= 1
         assert dot.read_text().startswith("digraph")
 
+    def test_separator_explicit_on_threshold_family(self, tmp_path, capsys):
+        # separable at (2, 1) by the fixed probe; the pruned walk builds the
+        # separator at once, where a walk of every window state passes
+        # 500,000 states
+        path = tmp_path / "threshold2.txt"
+        path.write_text(serialize_spec(gen_threshold_family(2)))
+        code = main(["separator", str(path), "--class", "ltt", "--json", "--no-timing"])
+        assert code == EXIT_SEPARABLE
+        sep = _json_out(capsys)["separator"]
+        assert sep == {"k": 2, "d": 1, "form": "explicit", "states": 21}
+
     def test_separator_on_inseparable_is_null(self, parity_file, capsys):
         code = main(["separator", parity_file, "--json"])
         assert code == EXIT_INSEPARABLE

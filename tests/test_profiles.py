@@ -111,7 +111,7 @@ class TestAnnotate:
         for seed in (0, 3, 5, 8):
             spec = gen_random(seed, 3, 2, 0.4)
             for k in (1, 2):
-                ann = annotate(spec.nfa, spec.i1, spec.f1, k)
+                ann = annotate(spec.nfa, spec.i1, spec.f1, k, state_budget=200_000)
                 got = self._ann_words(ann, 4)
                 want = set()
                 layer = [((), set(spec.i1))]

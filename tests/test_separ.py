@@ -2,6 +2,7 @@
 witness validity, and separator handles."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -20,12 +21,14 @@ from ltsep.monoid import MonoidBudgetError, profile_width_bound, transition_mono
 from ltsep.profiles import (
     AnnotationBudgetError,
     Profile,
+    Windows,
     capped_image,
     equivalent,
     language_signatures,
     out_edges,
     signature_of,
     split_width,
+    window_walk,
 )
 from ltsep.reduction import DPattern
 from ltsep.separ import (
@@ -472,6 +475,71 @@ class TestWindowSearchReference:
         assert {True, False} <= outcomes
         if budget == 5:
             assert None in outcomes
+
+
+def _full_separator(handle):
+    """The explicit separator by the unpruned walk: every window state over
+    the whole alphabet, the accepting ones marked after the walk."""
+    spec, k, d = handle.spec, handle.k, handle.d
+    sigs = handle.signatures
+    if sigs is None:
+        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
+    alphabet = tuple(spec.nfa.alphabet)
+    win = Windows(k, d)
+    index = {}
+    transitions = set()
+    loops = {0: [(a, 0) for a in alphabet]}
+    for src, a, st, new in window_walk(loops, (0,), win, 500_000):
+        if new:
+            index[st] = len(index)
+        if src is not None:
+            transitions.add((index[src], a, index[st]))
+    goals = {win.counts_of(sig) for sig in sigs}
+    f = frozenset(
+        n for (_q, buf, counts, fill), n in index.items()
+        if win.flush(buf, counts, fill) in goals
+    )
+    return Nfa(len(index), alphabet, frozenset(transitions)), frozenset([0]), f
+
+
+class TestPrunedSeparator:
+    def test_same_words_as_full_walk(self):
+        # the handles of separable fixed verdicts, which enumerate L1's
+        # images on demand; a probe handle, which holds them, is checked on
+        # the threshold family below
+        handles = []
+        for seed in range(120):
+            spec = gen_random(30_000 + seed, 3, 2, 0.35)
+            for k, d in ((1, 1), (1, 2), (2, 1)):
+                handles.append(decide_fixed(spec, k, d).separator)
+        handles = [h for h in handles if h is not None]
+        words = [
+            w for n in range(7) for w in itertools.product(("a", "b"), repeat=n)
+        ]
+        pruned = full = 0
+        for handle in handles:
+            nfa, i, f = separator_automaton(handle)
+            ref = _full_separator(handle)
+            delta = nfa.delta()
+            assert len(delta) == nfa.n_states * 2
+            assert all(len(succs) == 1 for succs in delta.values())
+            for w in words:
+                assert accepts(nfa, i, f, w) == accepts(*ref, w), (handle, w)
+            pruned += nfa.n_states
+            full += ref[0].n_states
+        assert len(handles) >= 40 and pruned < full
+
+    def test_threshold_family_fits(self):
+        # the unpruned walk passes 500,000 states here
+        spec = gen_threshold_family(2)
+        handle = decide_ltt(spec).separator
+        assert (handle.k, handle.d) == (2, 1)
+        nfa, i, f = separator_automaton(handle)
+        assert (nfa.n_states, len(f)) == (21, 8)
+        rng = random.Random(12)
+        for _ in range(200):
+            w = tuple(rng.choice(spec.nfa.alphabet) for _ in range(rng.randint(0, 10)))
+            assert accepts(nfa, i, f, w) == separator_membership(handle, w), w
 
 
 class TestProbeHandle:
