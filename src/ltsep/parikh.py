@@ -14,9 +14,13 @@ block) pairs) are merged, then backward-bisimilar ones.  The reduction
 keeps the language, and word lengths, letter counts and the choice of
 endpoints are properties of the language, so every match keeps its status
 and its optimum on smaller models; on the pools of SAT encodings it folds
-the padding tails of side 2.  flow_systems builds the systems of two
-languages to be matched and skips the merge when one of them is empty,
-since such a match is UNSAT before any model is built.
+the padding tails of side 2.  flow_systems builds the systems of
+languages to be matched with each other.  A letter that one side never
+reads counts 0 in every match, on every side, so it first cuts every side
+down to the letters all of them read and trims again, until nothing
+changes.  When a side is empty then, every match is UNSAT before any model
+is built; otherwise it returns the flow systems of the sides as they were,
+so the models do not change.
 
 Connectivity of the used-edge subgraph to the chosen source has one
 encoding, shared by every query (match_fixed, match_limit and the one-sided
@@ -31,8 +35,10 @@ for every connected flow, so neither changes the feasible set or the
 optimum.  Integer feasibility itself is delegated to scipy's MILP
 interface, with HiGHS's feasibility jump heuristic off: these models close
 at the root node, and the heuristic only delays the root LP.  Returned
-solutions are re-verified in exact integer arithmetic before use;
-infeasibility answers are HiGHS's, in floating point.
+solutions are re-verified in exact integer arithmetic before use.
+Infeasibility answers are HiGHS's, in floating point, except for the
+matches that flow_systems settles: there a side is empty, and the answer
+is exact with no model built.
 
 Every model bounds its variables by a box, which is also the big-M of its
 threshold rows and cuts; HiGHS is far faster in a small box than in the
@@ -156,10 +162,11 @@ class FlowSystem:
     """The flow view of one language L(nfa, i, f).
 
     flow_system trims the automaton to its useful part and merges its
-    bisimilar states (flow_systems only trims when one of the languages
-    to be matched is empty), so every model built on it has one variable
-    per edge of the smallest automaton this reduction reaches; edges is
-    the ordered transition list the multiplicity variables refer to.  The strongly
+    bisimilar states (flow_systems merges nothing when cutting the
+    languages to be matched down to their shared letters empties one of
+    them), so every model built on it has one variable per edge of the
+    smallest automaton this reduction reaches; edges is the ordered
+    transition list the multiplicity variables refer to.  The strongly
     connected components, the letter bounds and each state's in-edges are
     computed once, on first use, and shared by every model built on the
     system: its box, its threshold rows, its seeded rows and its
@@ -268,29 +275,53 @@ def _trimmed(nfa, i, f):
     return nfa2, i2, f2
 
 
+def _merged(nfa, i, f):
+    """Merge the forward and then the backward bisimilar states of a
+    trimmed nfa."""
+    return _merge(*_merge(nfa, i, f, backward=False), backward=True)
+
+
+def _system(nfa, i, f):
+    return FlowSystem(nfa, i, f, tuple(sorted(nfa.transitions)))
+
+
 def flow_system(nfa, i, f):
     """The flow system of L(nfa, i, f): trimmed, then its forward and then
     its backward bisimilar states merged."""
-    nfa2, i2, f2 = _merge(*_merge(*_trimmed(nfa, i, f), backward=False), backward=True)
-    return FlowSystem(nfa2, i2, f2, tuple(sorted(nfa2.transitions)))
+    return _system(*_merged(*_trimmed(nfa, i, f)))
 
 
 def flow_systems(*sides):
     """The flow systems of languages to be matched with each other, one
-    per (nfa, i, f) of sides.
+    per (nfa, i, f) of sides, over letters that hold every letter the
+    sides read.
 
-    Every match with an empty language is UNSAT before a model is built,
-    so when one of the languages is empty, the systems are only trimmed:
-    merging their states would be wasted.  Trimming a trimmed automaton
-    keeps it as it is, so flow_system on the trimmed sides returns their
-    flow systems.
+    A letter that one side never reads counts 0 there, so every match
+    counts it 0 on every side and uses none of its edges.  So the sides are
+    trimmed, then cut down to the edges whose letter every side reads and
+    trimmed again, until nothing changes.  When that empties a side, every
+    match is UNSAT before a model is built, and the cut-down systems are
+    returned unmerged: match_fixed and match_limit answer them at once, in
+    exact arithmetic.  Otherwise the cut-down sides are dropped and the
+    trimmed sides are merged into their flow systems, the same as
+    flow_system's, so the models built on them do not change.
     """
     trimmed = [_trimmed(*side) for side in sides]
-    if all(i for _nfa, i, _f in trimmed):
-        return [flow_system(*side) for side in trimmed]
-    return [
-        FlowSystem(nfa, i, f, tuple(sorted(nfa.transitions))) for nfa, i, f in trimmed
-    ]
+    pruned = trimmed
+    while all(i for _nfa, i, _f in pruned):
+        read = [{a for _p, a, _q in nfa.transitions} for nfa, _i, _f in pruned]
+        shared = set.intersection(*read)
+        if all(letters == shared for letters in read):
+            return [_system(*_merged(*side)) for side in trimmed]
+        pruned = [
+            _trimmed(
+                Nfa(nfa.n_states, nfa.alphabet,
+                    frozenset(e for e in nfa.transitions if e[1] in shared)),
+                i, f,
+            )
+            for nfa, i, f in pruned
+        ]
+    return [_system(*side) for side in pruned]
 
 
 @dataclass

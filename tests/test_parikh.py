@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from ltsep.automata import Nfa, accepts, reachable, trim
+from ltsep.automata import Nfa, accepts, reachable, shortest_common_word, trim
 from ltsep import parikh as pk
 from ltsep.reduction import build_reduced, build_reduced_pool
 from ltsep.testkit import Cnf3, gen_parity, gen_random, gen_sat_instance
@@ -679,6 +679,110 @@ class TestBisimulationMerge:
             pool.nfa, *sides[1]
         ).nfa.n_states
         self._compare(monkeypatch, pool.nfa, sides, thresholds)
+
+
+def _status(sys1, sys2, letters, d):
+    if d == "limit":
+        return pk.match_limit(sys1, sys2, letters).status
+    return pk.match_fixed(sys1, sys2, letters, d).status
+
+
+class TestSharedLetterFixpoint:
+    """flow_systems cuts the sides down to the letters all of them read
+    until nothing changes; a side it empties settles every match."""
+
+    def test_cascade_empties_the_other_side(self, monkeypatch):
+        # round 1 drops x from side 1, which cuts off its a-edge; round 2
+        # then drops a from side 2, whose only word ab needs it
+        nfa1 = Nfa(3, ("a", "b", "x"), frozenset([(0, "x", 1), (1, "a", 2), (0, "b", 2)]))
+        nfa2 = Nfa(3, ("a", "b"), frozenset([(0, "a", 1), (1, "b", 2)]))
+        sides = [(nfa1, {0}, {2}), (nfa2, {0}, {2})]
+        trims = []
+        real = pk._trimmed
+        monkeypatch.setattr(pk, "_trimmed", lambda *side: trims.append(side) or real(*side))
+        sys1, sys2 = pk.flow_systems(*sides)
+        monkeypatch.undo()
+        # one trim per side at the start and one per side in each round
+        assert len(trims) == 2 * (1 + 2)
+        assert sys1.edges == ((0, "b", 1),) and sys1.i and not sys2.i
+        plain = [_trimmed(*side) for side in sides]
+        for d in (None, 1, 2, "limit"):
+            assert _status(sys1, sys2, ["a", "b", "x"], d) == pk.UNSAT
+            assert _status(*plain, ["a", "b", "x"], d) == pk.UNSAT
+
+    def test_empty_words_over_disjoint_letters(self):
+        # a* against b*: cut down to no letter, each side still reads the
+        # empty word, so the systems are those of flow_system
+        nfa = Nfa(2, ("a", "b"), frozenset([(0, "a", 0), (1, "b", 1)]))
+        sides = [(nfa, {0}, {0}), (nfa, {1}, {1})]
+        sys1, sys2 = pk.flow_systems(*sides)
+        assert [sys1, sys2] == [pk.flow_system(*side) for side in sides]
+        for d in (None, 1):
+            res = pk.match_fixed(sys1, sys2, ["a", "b"], d)
+            assert res.status == pk.SAT
+            assert pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1) == ()
+            assert pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2) == ()
+        res = pk.match_limit(sys1, sys2, ["a", "b"])
+        assert res.status == pk.SAT
+        for which, system in ((1, sys1), (2, sys2)):
+            flow = res.assignment1.pumped(which, 3)
+            assert pk.realize_word(system.nfa, system.i, system.f, flow) == ()
+
+    def test_settled_matches_build_no_model(self, monkeypatch):
+        # a b* against c c*: no letter is shared, so every match is
+        # answered exactly, without HiGHS
+        nfa = Nfa(4, ("a", "b", "c"), frozenset([
+            (0, "a", 1), (1, "b", 1), (2, "c", 3), (3, "c", 3),
+        ]))
+        sys1, sys2 = pk.flow_systems((nfa, {0}, {1}), (nfa, {2}, {3}))
+
+        def refuse(model):
+            raise AssertionError("a settled match reached the solver")
+
+        monkeypatch.setattr(pk.MipModel, "solve", refuse)
+        for d in (None, 1, 2):
+            res = pk.match_fixed(sys1, sys2, ["a", "b", "c"], d)
+            assert (res.status, res.certain) == (pk.UNSAT, True)
+        res = pk.match_limit(sys1, sys2, ["a", "b", "c"])
+        assert (res.status, res.certain) == (pk.UNSAT, True)
+
+    @staticmethod
+    def _compare(nfa, sides, thresholds):
+        """Whether flow_systems empties a side; either way each match has
+        the status it has on the plain trimmed systems.
+
+        When no side is emptied, the systems are flow_system's, whose
+        statuses TestBisimulationMerge compares with the plain ones.
+        """
+        systems = pk.flow_systems(*((nfa, i, f) for i, f in sides))
+        if all(system.i for system in systems):
+            assert systems == [pk.flow_system(nfa, i, f) for i, f in sides]
+            return False
+        plain = [_trimmed(nfa, i, f) for i, f in sides]
+        letters = sorted(nfa.alphabet)
+        for d in thresholds:
+            assert _status(*systems, letters, d) == _status(*plain, letters, d), d
+        return True
+
+    def test_statuses_on_random_specs_and_reductions(self):
+        # the sides of random specs, and those of the reduced automata of
+        # disjoint ones, where the engine meets disjoint letters
+        cases = []
+        for seed in range(30):
+            spec = gen_random(900 + seed, 2 + seed % 4, 1 + seed % 2, 0.35)
+            cases.append((spec.nfa, [(spec.i1, spec.f1), (spec.i2, spec.f2)]))
+        for seed in range(200):
+            spec = gen_random(900 + seed, 2, 2, 0.35)
+            if shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2) is None:
+                red = build_reduced(spec)
+                cases.append((red.nfa, [(red.i1, red.f1), (red.i2, red.f2)]))
+        emptied = [self._compare(nfa, sides, (None, 1, 2, "limit")) for nfa, sides in cases]
+        assert sum(emptied) >= 10 and emptied.count(False) >= 30
+
+    @CRITERION_6_POOLS
+    def test_statuses_on_criterion_6_pools(self, cnf, thresholds):
+        pool = build_reduced_pool(gen_sat_instance(cnf))
+        assert not self._compare(pool.nfa, [(pool.i1, pool.f1), (pool.i2, pool.f2)], thresholds)
 
 
 def _narrow_violation(req, sol):

@@ -604,10 +604,16 @@ class TestEngineConfig:
         # solver_cap=1 leaves each match UNSAT but uncertain: the box bound
         # ran out, not the solver
         cfg = EngineConfig(solver_cap=1)
-        spec = _fork_spec()
+        spec = _one_versus_two_b()
         for v in (decide_fixed(spec, 1, 1, cfg), decide_lt(spec, cfg), decide_ltt(spec, cfg)):
             assert v.separable is None
             assert v.flags == ["box-bound"], v.problem
+        # L1 = {a} and L2 = {b} share no letter, so their matches are
+        # settled before any model, and the cap does not apply
+        spec = _fork_spec()
+        for v in (decide_fixed(spec, 1, 1, cfg), decide_lt(spec, cfg), decide_ltt(spec, cfg)):
+            assert v.separable is True
+            assert v.flags == [], v.problem
 
     def test_state_budget_spares_intersecting_specs(self):
         # a common word decides before any annotation, so no budget is spent
