@@ -49,13 +49,6 @@ class CappedImage:
     d: int
     counts: object  # immutable: frozenset of (Profile, count) pairs
 
-    @staticmethod
-    def of(k, d, raw_counts):
-        capped = frozenset(
-            (p, min(d, c)) for p, c in raw_counts.items() if c > 0
-        )
-        return CappedImage(k, d, capped)
-
     def as_dict(self):
         return dict(self.counts)
 
@@ -78,13 +71,22 @@ def profile_word(w, k):
 
 
 def capped_image(w, k, d):
-    """Occurrence counts of each profile in w, capped at d."""
+    """Occurrence counts of each profile in w, capped at d.
+
+    Counts the (left, right) window slices in one pass and builds one
+    Profile per distinct pair.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
+    w = tuple(w)
+    kl, kr = split_width(k)
     raw = {}
-    for p in profile_word(w, k):
-        raw[p] = raw.get(p, 0) + 1
-    return CappedImage.of(k, d, raw)
+    for x in range(len(w)):
+        pair = (w[max(0, x - kl):x], w[x:x + kr])
+        raw[pair] = raw.get(pair, 0) + 1
+    return CappedImage(
+        k, d, frozenset((Profile(*pair, k), min(d, c)) for pair, c in raw.items())
+    )
 
 
 def equivalent(w1, w2, k, d):
@@ -272,6 +274,23 @@ class Windows:
             counts = self.bump(counts, self.bit(buf[max(0, pos - kl):pos], buf[pos:pos + kr]))
         return counts
 
+    def word_counts(self, w):
+        """The counts of word w, or None when some window pair of w has no
+        number yet, so that no counts this Windows has produced hold it.
+
+        Reads the numbering without extending it: the window pairs of
+        position x are w[x-kl:x] and w[x:x+kr], as step and flush form them.
+        """
+        kl, kr = self.kl, self.kr
+        numbers = self._numbers
+        counts = self.empty
+        for x in range(len(w)):
+            n = numbers.get((w[max(0, x - kl):x], w[x:x + kr]))
+            if n is None:
+                return None
+            counts = self.bump(counts, 1 << n)
+        return counts
+
     def counts_of(self, sig):
         """The counts of a frozenset signature at this width and threshold."""
         counts = list(self.empty)
@@ -350,6 +369,20 @@ def window_walk(delta, starts, win, budget, keep=None):
             yield src, a, dst, True
 
 
+def language_counts(nfa, i, f, win, state_budget):
+    """The flushed counts, in win's numbering, of all words of L(nfa, i, f):
+    one unpruned window walk.  Raises AnnotationBudgetError past the budget.
+    """
+    fset = set(f)
+    return {
+        win.flush(buf, counts, fill)
+        for _src, _a, (q, buf, counts, fill), new in window_walk(
+            out_edges(nfa), i, win, state_budget
+        )
+        if new and q in fset
+    }
+
+
 def language_signatures(nfa, i, f, k, d, state_budget=500_000):
     """All capped-image signatures of words of L(nfa, i, f).
 
@@ -357,12 +390,4 @@ def language_signatures(nfa, i, f, k, d, state_budget=500_000):
     the budget.
     """
     win = Windows(k, d)
-    fset = set(f)
-    ends = {
-        win.flush(buf, counts, fill)
-        for _src, _a, (q, buf, counts, fill), new in window_walk(
-            out_edges(nfa), i, win, state_budget
-        )
-        if new and q in fset
-    }
-    return {win.signature(counts) for counts in ends}
+    return {win.signature(c) for c in language_counts(nfa, i, f, win, state_budget)}

@@ -16,6 +16,7 @@ from .monoid import transition_monoid, profile_width_bound, MonoidBudgetError
 from .profiles import (
     annotate,
     equivalent,
+    language_counts,
     language_signatures,
     out_edges,
     project_profile_word,
@@ -69,10 +70,15 @@ class WitnessPair:
 class SeparatorHandle:
     """Implicit representation of the profile closure of L1 at (k, d).
 
-    w is a member when some L1 word shares its capped profile image.  A
-    handle from the fallback's signature probe holds the set of L1's images
-    and answers by lookup; a decide_fixed handle searches L1's windows for
-    w's image, exploring at most state_budget states.
+    w is a member when some L1 word shares its capped profile image.  The
+    handle answers membership, and builds its explicit automaton, from one
+    L1 image table (l1_table) built on the first query and kept.  A handle
+    from the fallback's signature probe fills it from the set of L1's
+    images it holds; a decide_fixed handle with one walk over L1's windows,
+    exploring at most state_budget states.  So the first query pays for
+    that walk and later ones cost O(|w|).  When the walk passes the budget
+    the table records that, and each query searches L1's windows for its
+    own image instead.
     """
 
     k: int
@@ -80,6 +86,25 @@ class SeparatorHandle:
     spec: LangSpec  # the original two-language spec
     state_budget: int = 500_000
     signatures: frozenset = None  # L1's capped images, on probe handles
+
+    @cached_property
+    def l1_table(self):
+        """(win, goals): a Windows at (k, d) and the set of L1's flushed
+        counts in its numbering, or None when the walk over L1 passes
+        state_budget states.
+
+        Cached on the instance, outside the fields, so that
+        dataclasses.replace gives a handle that builds its own table.
+        """
+        win = Windows(self.k, self.d)
+        if self.signatures is not None:
+            return win, frozenset(win.counts_of(sig) for sig in self.signatures)
+        spec = self.spec
+        try:
+            goals = language_counts(spec.nfa, spec.i1, spec.f1, win, self.state_budget)
+        except AnnotationBudgetError:
+            return None
+        return win, frozenset(goals)
 
 
 @dataclass
@@ -330,16 +355,15 @@ def decide_ltt(spec, cfg=None):
     return _decide_full(spec, cfg, "ltt", _settle_ltt)
 
 
-def _goal_filter(win, targets):
-    """The counts of targets in win, and the test compat(counts): can a
-    state with these capped counts still grow into one of them?
+def _goal_filter(win, goals):
+    """The test compat(counts): can a state with these capped counts still
+    grow into one of goals, counts in win's numbering?
 
-    Counts are monotone along a run, so a state can still reach a target
-    when every bit of its counts is set at the same level in the target's;
+    Counts are monotone along a run, so a state can still reach a goal
+    when every bit of its counts is set at the same level in the goal's;
     a state that fails the test, and every state after it, has no flushed
-    signature among the targets.
+    counts among the goals.
     """
-    goals = {win.counts_of(t) for t in targets}
     # level c, profile bit -> the goals holding it at level c, as a bitmask
     # over the goals' order
     holders = [{} for _ in range(win.d)]
@@ -359,7 +383,7 @@ def _goal_filter(win, targets):
                     return False
         return bool(alive)
 
-    return goals, compat
+    return compat
 
 
 def _meets(nfa, i, f, targets, k, d, budget):
@@ -370,7 +394,8 @@ def _meets(nfa, i, f, targets, k, d, budget):
     states.
     """
     win = Windows(k, d)
-    goals, compat = _goal_filter(win, targets)
+    goals = {win.counts_of(t) for t in targets}
+    compat = _goal_filter(win, goals)
     fset = set(f)
     walk = window_walk(out_edges(nfa), i, win, budget, compat)
     try:
@@ -467,22 +492,27 @@ def replay_witness(verdict, d, ell=1):
 def separator_membership(handle, w):
     """Does w belong to the profile closure of L1 at the handle's (k, d)?
 
-    True iff some u in L1 has the same capped image as w.  A probe handle
-    looks the image up in its signature set; any other handle searches L1's
-    windows for it and returns None past its state budget.  Both answers
-    are exact: no flow model, no floating point.
+    True iff some u in L1 has the same capped image as w.  The first query
+    builds the handle's L1 image table; every query then reads w's counts
+    in the table's numbering, one window pair per position, and looks them
+    up.  When the table's walk passed the state budget, each query instead
+    searches L1's windows for w's image alone (_meets, pruned to that
+    image), and returns None past the budget.  Both answers are exact: no
+    flow model, no floating point.
     """
     w = tuple(w)
     for a in w:
         if a not in handle.spec.nfa.alphabet:
             raise ValueError("symbol %r outside the alphabet" % (a,))
-    sig = signature_of(w, handle.k, handle.d)
-    if handle.signatures is not None:
-        return sig in handle.signatures
-    spec = handle.spec
-    return _meets(
-        spec.nfa, spec.i1, spec.f1, {sig}, handle.k, handle.d, handle.state_budget
-    )
+    table = handle.l1_table
+    if table is None:
+        spec, k, d = handle.spec, handle.k, handle.d
+        return _meets(
+            spec.nfa, spec.i1, spec.f1, {signature_of(w, k, d)}, k, d, handle.state_budget
+        )
+    win, goals = table
+    counts = win.word_counts(w)
+    return counts is not None and counts in goals
 
 
 def separator_automaton(handle):
@@ -490,22 +520,21 @@ def separator_automaton(handle):
 
     States are (window buffer, capped counts, fill degree), numbered in
     discovery order of a window walk over one state looping on every
-    letter; a state accepts when its flushed signature is the capped image
-    of some L1 word.  The walk is pruned as _meets prunes it (_goal_filter):
-    no state past a pruned one accepts, so every edge into a pruned state
-    goes to one rejecting sink, numbered last.  The walk, and the
-    enumeration of L1's images on a handle that does not hold them, explore
-    at most the handle's state_budget states.
+    letter; a state accepts when its flushed counts are in the handle's L1
+    image table, which the walk shares with membership.  The walk is pruned
+    as _meets prunes it (_goal_filter): no state past a pruned one accepts,
+    so every edge into a pruned state goes to one rejecting sink, numbered
+    last.  The walk, and the table's walk over L1 on a handle that does not
+    hold L1's images, explore at most the handle's state_budget states.
     """
-    spec = handle.spec
-    k, d, budget = handle.k, handle.d, handle.state_budget
-    sigs = handle.signatures
-    if sigs is None:
-        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d, budget)
-    alphabet = tuple(spec.nfa.alphabet)
+    budget = handle.state_budget
+    table = handle.l1_table
+    if table is None:
+        raise AnnotationBudgetError("signature exploration exceeded %d states" % budget)
+    win, goals = table
+    alphabet = tuple(handle.spec.nfa.alphabet)
     loops = {0: [(a, 0) for a in alphabet]}
-    win = Windows(k, d)
-    goals, compat = _goal_filter(win, sigs)
+    compat = _goal_filter(win, goals)
     index = {}
     transitions = set()
     pruned = set()

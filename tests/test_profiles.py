@@ -61,6 +61,20 @@ class TestCappedImage:
     def test_empty_word(self):
         assert capped_image((), 2, 1).as_dict() == {}
 
+    def test_one_pass_matches_profile_word(self):
+        # capped_image counts window slices; profile_word builds one Profile
+        # per position
+        rng = random.Random(18)
+        for n in range(300):
+            w = tuple(rng.choice("abc") for _ in range(rng.randint(0, 9) if n else 0))
+            k, d = rng.randint(1, 5), rng.randint(1, 3)
+            raw = {}
+            for p in profile_word(w, k):
+                raw[p] = raw.get(p, 0) + 1
+            img = capped_image(w, k, d)
+            assert (img.k, img.d) == (k, d)
+            assert img.as_dict() == {p: min(d, c) for p, c in raw.items()}, (w, k, d)
+
     @settings(max_examples=150, deadline=None)
     @given(words, words, st.integers(1, 4), st.integers(1, 3))
     def test_equivalent_matches_manual_counting(self, w1, w2, k, d):
@@ -89,6 +103,18 @@ class TestCappedImage:
         # levels are nested: a profile counted c times is in levels 0..c-1
         assert win.counts_of(signature_of(w, k, d)) == flushed
         assert all(hi & ~lo == 0 for lo, hi in zip(flushed, flushed[1:]))
+        # once the walk has numbered w's window pairs, reading w's counts
+        # directly gives the same counts
+        assert win.word_counts(w) == flushed
+
+    def test_word_counts_leaves_numbering_alone(self):
+        win = Windows(2, 1)
+        assert win.word_counts(()) == win.empty
+        assert win.word_counts(("a",)) is None
+        assert win.bit((), ("a",)) == 1
+        assert win.word_counts(("a",)) == (1,)
+        assert win.word_counts(("a", "b")) is None
+        assert win.bit(("a",), ("b",)) == 2
 
 
 class TestAnnotate:

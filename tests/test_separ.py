@@ -8,6 +8,7 @@ import random
 import pytest
 
 from ltsep import parikh as pk
+from ltsep import profiles
 from ltsep import separ
 from ltsep.automata import (
     LangSpec,
@@ -33,8 +34,10 @@ from ltsep.profiles import (
 from ltsep.reduction import DPattern
 from ltsep.separ import (
     EngineConfig,
+    SeparatorHandle,
     WitnessPair,
     _fallback,
+    _goal_filter,
     _meets,
     _sig_probe,
     decide_fixed,
@@ -587,6 +590,125 @@ class TestProbeHandle:
         starved = dataclasses.replace(fixed_handle, state_budget=1)
         member = next(w for w in words if w and signature_of(w, k, d) in sigs)
         assert separator_membership(starved, member) is None
+
+
+def _random_words(rng, sigma, n, max_len):
+    return [
+        tuple(rng.choice(sigma) for _ in range(rng.randint(0, max_len)))
+        for _ in range(n)
+    ]
+
+
+def _walk_states(nfa, starts, win, keep=None):
+    """The number of states a window walk over (nfa, starts) explores."""
+    walk = window_walk(out_edges(nfa), starts, win, 10**6, keep)
+    return sum(new for _src, _a, _st, new in walk)
+
+
+class TestL1Table:
+    """Membership by lookup in the handle's L1 image table, against
+    signature_of(w) in language_signatures(L1) and against _meets, with the
+    number of walks over L1 counted."""
+
+    def test_answers_match_references(self):
+        # handles as decide_fixed builds them (no signatures) and as the
+        # probe builds them (L1's signature set), on L1 and on an empty L1
+        # (k, d) whose walk over L1 passes the budget are left to
+        # test_budget_between_pruned_and_full_walk
+        budget = 5_000
+        rng = random.Random(18)
+        seen = set()
+        kd = set()
+        for seed in range(10):
+            spec = gen_random(30_000 + seed, 3, 2, 0.35)
+            empty = LangSpec(spec.nfa, frozenset(), spec.f1, spec.i2, spec.f2)
+            sigma = spec.nfa.alphabet
+            for k, d in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+                for s in (spec, empty) if seed < 3 else (spec,):
+                    try:
+                        sigs = language_signatures(s.nfa, s.i1, s.f1, k, d, budget)
+                    except AnnotationBudgetError:
+                        continue
+                    words = [()] + sample_words(s.nfa, s.i1, s.f1, 3, rng)
+                    words += sample_words(s.nfa, s.i2, s.f2, 3, rng)
+                    words += _random_words(rng, sigma, 4, 8)
+                    # shorter than the window
+                    words += _random_words(rng, sigma, 2, k - 1)
+                    for handle in (
+                        SeparatorHandle(k, d, s, budget),
+                        SeparatorHandle(k, d, s, budget, frozenset(sigs)),
+                    ):
+                        # an empty L1 has an empty table, not None
+                        _win, goals = handle.l1_table
+                        assert (goals == frozenset()) is (s is empty)
+                        for w in words:
+                            sig = signature_of(w, k, d)
+                            expect = sig in sigs
+                            got = separator_membership(handle, w)
+                            assert got is expect, (seed, k, d, w)
+                            assert got is _meets(
+                                s.nfa, s.i1, s.f1, {sig}, k, d, budget
+                            ), (seed, k, d, w)
+                            size = "empty" if not w else "short" if len(w) < k else "long"
+                            seen.add((s is empty, size, got))
+                            kd.add((k, d))
+        assert len(kd) == 12
+        # members and non-members among the empty word, words shorter than
+        # the window and longer words; an empty L1 has no member
+        for size in ("empty", "short", "long"):
+            assert {(False, size, True), (False, size, False)} <= seen, size
+        assert (True, "empty", False) in seen
+        assert not any(got for empty_l1, _size, got in seen if empty_l1)
+
+    def test_one_walk_over_l1(self, monkeypatch):
+        spec = gen_random(30_021, 3, 2, 0.35)
+        handle = decide_fixed(spec, 2, 1).separator
+        assert handle is not None and handle.signatures is None
+        l1_edges = out_edges(spec.nfa)
+        walks = []
+        real = profiles.window_walk
+
+        def counting(delta, starts, win, budget, keep=None):
+            walks.append("L1" if delta == l1_edges else "other")
+            return real(delta, starts, win, budget, keep)
+
+        monkeypatch.setattr(profiles, "window_walk", counting)
+        monkeypatch.setattr(separ, "window_walk", counting)
+        rng = random.Random(19)
+        words = _random_words(rng, spec.nfa.alphabet, 40, 8)
+        words += sample_words(spec.nfa, spec.i1, spec.f1, 10, rng)
+        answers = {separator_membership(handle, w) for w in words}
+        assert answers == {True, False}
+        assert walks == ["L1"]
+        nfa, i, f = separator_automaton(handle)
+        assert walks == ["L1", "other"]
+        for w in words:
+            assert accepts(nfa, i, f, w) == separator_membership(handle, w), w
+        assert walks == ["L1", "other"]
+
+    def test_budget_between_pruned_and_full_walk(self):
+        # the table's walk passes the budget, so each query searches L1's
+        # windows for its own image, which fits
+        spec = gen_random(30_006, 3, 2, 0.35)
+        k, d = 3, 1
+        rng = random.Random(20)
+        words = sample_words(spec.nfa, spec.i1, spec.f1, 5, rng)
+        words += _random_words(rng, spec.nfa.alphabet, 10, 8)
+        pruned = 0
+        for w in words:
+            win = Windows(k, d)
+            compat = _goal_filter(win, {win.counts_of(signature_of(w, k, d))})
+            pruned = max(pruned, _walk_states(spec.nfa, spec.i1, win, compat))
+        full = _walk_states(spec.nfa, spec.i1, Windows(k, d))
+        assert pruned < full
+        handle = SeparatorHandle(k, d, spec, state_budget=pruned)
+        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
+        answers = [separator_membership(handle, w) for w in words]
+        assert handle.l1_table is None
+        assert answers == [signature_of(w, k, d) in sigs for w in words]
+        assert set(answers) == {True, False}
+        with pytest.raises(AnnotationBudgetError):
+            separator_automaton(handle)
 
 
 class TestEngineConfig:
