@@ -244,13 +244,14 @@ def parse_spec(text):
     """Parse the line-oriented spec format into a LangSpec.
 
     Format: `alphabet: a b c`, `states: N`, repeated `trans: p sym q`,
-    then sections I1: F1: I2: F2: with space-separated state ids.
-    `#` starts a comment.
+    then sections I1: F1: I2: F2: with space-separated state ids.  Every
+    key but trans appears once.  `#` starts a comment.
     """
     alphabet = None
     n_states = None
     transitions = []
     sets = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -260,9 +261,11 @@ def parse_spec(text):
         key, _, rest = line.partition(":")
         key = key.strip()
         fields = rest.split()
+        if key in seen:
+            raise SpecFormatError("line %d: duplicate %s" % (lineno, key))
+        if key != "trans":
+            seen.add(key)
         if key == "alphabet":
-            if alphabet is not None:
-                raise SpecFormatError("line %d: duplicate alphabet" % lineno)
             if len(set(fields)) != len(fields):
                 raise SpecFormatError("line %d: duplicate symbols" % lineno)
             alphabet = tuple(fields)

@@ -67,6 +67,9 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
+# the most solves one connectivity-cut loop makes before it reports a stall
+MAX_CUT_ROUNDS = 200
+
 
 class SolverStall(RuntimeError):
     """The backend solver returned neither a solution nor an infeasibility proof."""
@@ -526,12 +529,12 @@ class _ConnReq:
                 model.add_le(terms, 0)
 
 
-def _solve_connected(model, reqs, max_rounds=200):
+def _solve_connected(model, reqs):
     """Seed each requirement's rows, then solve, adding connectivity cuts
     until every requirement holds."""
     for req in reqs:
         req.seed(model)
-    for _ in range(max_rounds):
+    for _ in range(MAX_CUT_ROUNDS):
         sol = model.solve()
         if sol is None:
             return None

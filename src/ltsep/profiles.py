@@ -199,8 +199,9 @@ def annotate(nfa, i, f, k, state_budget):
 # annotation transform above.  A walk works on interned profiles: its Windows
 # numbers the (left, right) window pairs met, and capped counts are a tuple of
 # d bitmasks over those numbers, so that the counts of a state are a few
-# ints.  Signatures take their frozenset-of-(Profile, count) form only where
-# they leave a walk (Windows.signature).
+# ints.  The decision engine keeps counts throughout; signatures take their
+# frozenset-of-(Profile, count) form (Windows.signature, language_signatures)
+# only for the independent oracle and the tests.
 
 
 def set_bits(mask):

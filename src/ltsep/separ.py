@@ -13,15 +13,14 @@ from functools import cache, cached_property, lru_cache
 from .automata import LangSpec, Nfa, accepts, shortest_common_word
 from .automata import product  # not called here; bench/tracing.py wraps separ.product
 from .monoid import transition_monoid, profile_width_bound, MonoidBudgetError
+from .profiles import language_signatures  # not called here; bench/tracing.py wraps separ.language_signatures
 from .profiles import (
     annotate,
     equivalent,
     language_counts,
-    language_signatures,
     out_edges,
     project_profile_word,
     set_bits,
-    signature_of,
     window_walk,
     AnnotationBudgetError,
     Windows,
@@ -66,26 +65,26 @@ class WitnessPair:
     d: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeparatorHandle:
     """Implicit representation of the profile closure of L1 at (k, d).
 
     w is a member when some L1 word shares its capped profile image.  The
     handle answers membership, and builds its explicit automaton, from one
-    L1 image table (l1_table) built on the first query and kept.  A handle
-    from the fallback's signature probe fills it from the set of L1's
-    images it holds; a decide_fixed handle with one walk over L1's windows,
-    exploring at most state_budget states.  So the first query pays for
-    that walk and later ones cost O(|w|).  When the walk passes the budget
-    the table records that, and each query searches L1's windows for its
-    own image instead.
+    L1 image table (l1_table): one walk over L1's windows, exploring at
+    most state_budget states, made on first use and kept.  A handle from
+    decide_fixed makes it on the first query, so that query pays for the
+    walk and later ones cost O(|w|); the fallback's signature probe makes
+    it to search L2 against, so its handle arrives with the table built,
+    and the LT and LTT verdicts of one spec share that handle.  When the
+    walk passes the budget the table records that, and each query searches
+    L1's windows for its own image instead.
     """
 
     k: int
     d: int
     spec: LangSpec  # the original two-language spec
-    state_budget: int = 500_000
-    signatures: frozenset = None  # L1's capped images, on probe handles
+    state_budget: int
 
     @cached_property
     def l1_table(self):
@@ -97,8 +96,6 @@ class SeparatorHandle:
         dataclasses.replace gives a handle that builds its own table.
         """
         win = Windows(self.k, self.d)
-        if self.signatures is not None:
-            return win, frozenset(win.counts_of(sig) for sig in self.signatures)
         spec = self.spec
         try:
             goals = language_counts(spec.nfa, spec.i1, spec.f1, win, self.state_budget)
@@ -386,15 +383,14 @@ def _goal_filter(win, goals):
     return compat
 
 
-def _meets(nfa, i, f, targets, k, d, budget):
-    """Does some word of L(nfa, i, f) have its capped image in targets?
+def _meets(nfa, i, f, win, goals, budget):
+    """Does some word of L(nfa, i, f) have its flushed counts in goals,
+    counts in win's numbering?
 
-    Walks the language's sliding windows, pruned by _goal_filter, with
-    early exit on a hit.  Returns True or False, or None past budget
+    Walks the language's sliding windows in win, pruned by _goal_filter,
+    with early exit on a hit.  Returns True or False, or None past budget
     states.
     """
-    win = Windows(k, d)
-    goals = {win.counts_of(t) for t in targets}
     compat = _goal_filter(win, goals)
     fset = set(f)
     walk = window_walk(out_edges(nfa), i, win, budget, compat)
@@ -408,35 +404,36 @@ def _meets(nfa, i, f, targets, k, d, budget):
 
 
 def _sig_probe(spec, k, d, cfg):
-    """Exact fixed-(k,d) separability by signature enumeration.
+    """Exact fixed-(k,d) separability by enumeration of capped images.
 
-    Returns L1's signature set (a frozenset, empty for an empty L1) when no
-    L2 word shares one, False when one does, and None on budget.
+    Builds the separator handle at (k, d) and its L1 image table, then
+    searches L2's windows, in the table's numbering, for one of L1's
+    images.  Returns the handle when no L2 word shares one, False when one
+    does, and None when either walk passes the state budget.
     """
-    try:
-        targets = language_signatures(
-            spec.nfa, spec.i1, spec.f1, k, d, cfg.state_budget
-        )
-    except AnnotationBudgetError:
+    handle = SeparatorHandle(k, d, spec, cfg.state_budget)
+    table = handle.l1_table
+    if table is None:
         return None
-    shared = _meets(spec.nfa, spec.i2, spec.f2, targets, k, d, cfg.state_budget)
+    shared = _meets(spec.nfa, spec.i2, spec.f2, *table, cfg.state_budget)
     if shared is None:
         return None
-    return False if shared else frozenset(targets)
+    return False if shared else handle
 
 
 def _fallback(spec, cfg, problem):
     """Bounded dual search for inputs past the complete reduction's budget.
 
     Separability side: fixed-(k,d) probes on the original languages by exact
-    signature enumeration (sound: a fixed-parameter separator is an LT/LTT
-    separator); a separable verdict hands out a separator handle holding the
-    probe's signature set of L1.  Inseparability side: an exactly-matching
-    word pair over the partial reduced automaton decodes to a common pattern
-    at every threshold (sound for both LT and LTT).  Neither side is
-    complete; exhaustion reports unknown.  The probes and the pool match
+    enumeration of capped images (sound: a fixed-parameter separator is an
+    LT/LTT separator); a separable verdict hands out the probe's separator
+    handle, whose L1 image table is the probe's walk over L1.
+    Inseparability side: an exactly-matching word pair over the partial
+    reduced automaton decodes to a common pattern at every threshold (sound
+    for both LT and LTT).  Neither side is complete; exhaustion reports
+    unknown.  The probes and the pool match
     come from the spec's evidence record, so LT and LTT on one spec make
-    each of them once.
+    each of them once, and their verdicts share a probe's handle.
     """
     ev = _evidence(spec, cfg)
     flags = ["reduction-budget"]
@@ -445,10 +442,9 @@ def _fallback(spec, cfg, problem):
     )
 
     def probe_verdict(k, d):
-        sigs = ev.probe(k, d)
-        if sigs is None or sigs is False:
+        handle = ev.probe(k, d)
+        if not handle:
             return None
-        handle = SeparatorHandle(k, d, spec, cfg.state_budget, signatures=sigs)
         return Verdict(
             problem, True, k, d,
             separator=handle,
@@ -493,12 +489,13 @@ def separator_membership(handle, w):
     """Does w belong to the profile closure of L1 at the handle's (k, d)?
 
     True iff some u in L1 has the same capped image as w.  The first query
-    builds the handle's L1 image table; every query then reads w's counts
-    in the table's numbering, one window pair per position, and looks them
-    up.  When the table's walk passed the state budget, each query instead
-    searches L1's windows for w's image alone (_meets, pruned to that
-    image), and returns None past the budget.  Both answers are exact: no
-    flow model, no floating point.
+    on a decide_fixed handle builds its L1 image table (a probe handle has
+    it from the probe); every query then reads w's counts in the table's
+    numbering, one window pair per position, and looks them up.  When the
+    table's walk passed the state budget, each query instead searches L1's
+    windows for w's image alone (_meets, pruned to that image), and returns
+    None past the budget.  Both answers are exact: no flow model, no
+    floating point.
     """
     w = tuple(w)
     for a in w:
@@ -506,10 +503,13 @@ def separator_membership(handle, w):
             raise ValueError("symbol %r outside the alphabet" % (a,))
     table = handle.l1_table
     if table is None:
-        spec, k, d = handle.spec, handle.k, handle.d
-        return _meets(
-            spec.nfa, spec.i1, spec.f1, {signature_of(w, k, d)}, k, d, handle.state_budget
-        )
+        win = Windows(handle.k, handle.d)
+        buf, counts = (), win.empty
+        for a in w:
+            buf, counts = win.step(buf, counts, a)
+        spec = handle.spec
+        goals = {win.flush(buf, counts, len(w))}
+        return _meets(spec.nfa, spec.i1, spec.f1, win, goals, handle.state_budget)
     win, goals = table
     counts = win.word_counts(w)
     return counts is not None and counts in goals
@@ -524,8 +524,8 @@ def separator_automaton(handle):
     image table, which the walk shares with membership.  The walk is pruned
     as _meets prunes it (_goal_filter): no state past a pruned one accepts,
     so every edge into a pruned state goes to one rejecting sink, numbered
-    last.  The walk, and the table's walk over L1 on a handle that does not
-    hold L1's images, explore at most the handle's state_budget states.
+    last.  The walk, and the table's walk over L1 when the handle has not
+    made it yet, explore at most the handle's state_budget states.
     """
     budget = handle.state_budget
     table = handle.l1_table

@@ -301,16 +301,6 @@ def _separable_verdicts():
     return found
 
 
-def _handle_for(spec, verdict):
-    if verdict.separator is not None:
-        return verdict.separator
-    for k, d in ((1, 1), (1, 2), (2, 1)):
-        probe = decide_fixed(spec, k, d)
-        if probe.separable is True:
-            return probe.separator
-    return None
-
-
 def test_criterion_7_separator_soundness(capsys):
     t0 = time.monotonic()
     verdicts = _separable_verdicts()
@@ -318,7 +308,7 @@ def test_criterion_7_separator_soundness(capsys):
     bad_in = bad_out = missing = 0
     handles = []
     for spec, verdict in verdicts:
-        handle = _handle_for(spec, verdict)
+        handle = verdict.separator
         if handle is None:
             missing += 1
             continue

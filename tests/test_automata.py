@@ -132,6 +132,21 @@ class TestParseSerialize:
         with pytest.raises(SpecFormatError):
             parse_spec(text)
 
+    @pytest.mark.parametrize("key, line, head", [
+        ("alphabet", 2, "alphabet: a\nalphabet: b\nstates: 2\n"),
+        ("states", 3, "alphabet: a\nstates: 2\nstates: 1\n"),
+        ("I1", 4, "alphabet: a\nstates: 2\nI1: 0\nI1: 1\n"),
+        ("F1", 4, "alphabet: a\nstates: 2\nF1: 0\nF1: 1\n"),
+        ("I2", 4, "alphabet: a\nstates: 2\nI2: 0\nI2: 1\n"),
+        ("F2", 4, "alphabet: a\nstates: 2\nF2: 0\nF2: 1\n"),
+    ], ids=["alphabet", "states", "I1", "F1", "I2", "F2"])
+    def test_repeated_section_rejected(self, key, line, head):
+        # a second line of a section would silently replace the first, and
+        # a second, smaller states line would fail later without a line
+        text = head + "I1: 0\nF1: 0\nI2: 0\nF2: 0\n"
+        with pytest.raises(SpecFormatError, match="^line %d: duplicate %s$" % (line, key)):
+            parse_spec(text)
+
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_spec("# lead\n\n" + PARITY_TEXT + "\n# trail\n")
         assert spec == parse_spec(PARITY_TEXT)

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output schema, and subcommands."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -17,7 +22,13 @@ from ltsep.cli import (
     EXIT_UNKNOWN,
     main,
 )
-from ltsep.testkit import gen_parity, gen_random, gen_threshold_family
+from ltsep.testkit import (
+    Cnf3,
+    gen_parity,
+    gen_random,
+    gen_sat_instance,
+    gen_threshold_family,
+)
 
 
 @pytest.fixture
@@ -378,3 +389,76 @@ class TestErrors:
 
     def test_oracle_requires_parameters(self, parity_file, capsys):
         assert main(["oracle", parity_file]) == EXIT_ERROR
+
+
+# The golden transcript: stdout, exit code and DOT digest of every decision
+# command below on every spec below, stored in GOLDEN.  A change that means
+# to change this output regenerates the file with
+#     PYTHONPATH=src python tests/test_cli.py
+# and shows the difference in its diff.
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.txt")
+
+GOLDEN_COMMANDS = (
+    ["decide", "--class", "ltt"],
+    ["decide", "--class", "lt"],
+    ["decide", "--class", "fixed", "--k", "2", "--d", "1"],
+    ["witness", "--d", "2"],
+    ["separator", "--class", "ltt"],
+    ["separator", "--class", "lt"],
+    ["separator", "--class", "fixed", "--k", "2", "--d", "1", "--state-budget", "200"],
+)
+
+
+def _golden_specs():
+    specs = [
+        ("parity", gen_parity()),
+        ("threshold-1", gen_threshold_family(1)),
+        ("sat-core", gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1))))),
+    ]
+    specs += [
+        ("random-%d" % (90_000 + s), gen_random(90_000 + s, 2 + s % 3, 2, 0.3))
+        for s in range(10)
+    ]
+    return specs
+
+
+def _golden_runs(workdir):
+    """One transcript entry per run, each run in-process with an empty
+    evidence memo, as a separate ltsep process would make it."""
+    dot = os.path.join(workdir, "separator.dot")
+    runs = []
+    for name, spec in _golden_specs():
+        path = os.path.join(workdir, name + ".txt")
+        with open(path, "w") as fh:
+            fh.write(serialize_spec(spec))
+        for command in GOLDEN_COMMANDS:
+            argv = [command[0], path, "--json", "--no-timing"] + command[1:]
+            if command[0] == "separator":
+                argv += ["--dot", dot]
+            if os.path.exists(dot):
+                os.remove(dot)
+            separ._evidence.cache_clear()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            entry = "$ ltsep %s\nexit %d\n%s" % (
+                " ".join([command[0], name] + command[1:]), code, out.getvalue()
+            )
+            if os.path.exists(dot):
+                with open(dot, "rb") as fh:
+                    entry += "dot sha256 %s\n" % hashlib.sha256(fh.read()).hexdigest()
+            runs.append(entry)
+    return runs
+
+
+class TestGolden:
+    def test_transcript_unchanged(self, tmp_path):
+        with open(GOLDEN) as fh:
+            want = re.split(r"^(?=\$ ltsep )", fh.read(), flags=re.M)[1:]
+        assert _golden_runs(str(tmp_path)) == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        with open(GOLDEN, "w") as fh:
+            fh.write("".join(_golden_runs(workdir)))

@@ -330,6 +330,12 @@ class TestSeparator:
         assert checked >= 3
 
 
+def _table_signatures(handle):
+    """The handle's L1 image table as a set of frozenset signatures."""
+    win, goals = handle.l1_table
+    return {win.signature(g) for g in goals}
+
+
 class TestSigProbe:
     def test_agrees_with_signature_oracle(self):
         rng = random.Random(99)
@@ -340,7 +346,8 @@ class TestSigProbe:
                 if exact_fixed_oracle(spec, k, d) == "inseparable":
                     assert res is False, (seed, k, d)
                 else:
-                    assert res == language_signatures(
+                    assert (res.k, res.d) == (k, d)
+                    assert _table_signatures(res) == language_signatures(
                         spec.nfa, spec.i1, spec.f1, k, d
                     ), (seed, k, d)
 
@@ -348,12 +355,13 @@ class TestSigProbe:
         assert _sig_probe(gen_parity(), 2, 1, EngineConfig(state_budget=1)) is None
 
     def test_empty_l1_is_separable(self):
-        # an empty L1 has an empty signature set, which is falsy but still
-        # a separable probe; its handle accepts no word
+        # an empty L1 gives a handle whose table has no goals; it accepts
+        # no word
         spec = _fork_spec()
         spec = LangSpec(spec.nfa, frozenset(), spec.f1, spec.i2, spec.f2)
         cfg = EngineConfig()
-        assert _sig_probe(spec, 1, 1, cfg) == frozenset()
+        _win, goals = _sig_probe(spec, 1, 1, cfg).l1_table
+        assert goals == frozenset()
         v = _fallback(spec, cfg, problem="ltt")
         assert v.separable is True and (v.k, v.d) == (1, 1)
         assert v.notes["via"] == "fixed-probe"
@@ -451,8 +459,13 @@ class TestWindowSearchReference:
             spec = gen_random(700 + seed, rng.randint(1, 3), rng.randint(1, 2), 0.35)
             k, d = rng.choice(self.KD)
             got = _sig_probe(spec, k, d, cfg)
-            assert got == _reference_probe(spec, k, d, budget), (seed, k, d)
-            outcomes.add(got if got is None or got is False else "sigs")
+            want = _reference_probe(spec, k, d, budget)
+            if isinstance(got, SeparatorHandle):
+                assert _table_signatures(got) == want, (seed, k, d)
+                outcomes.add("handle")
+            else:
+                assert got is want, (seed, k, d)
+                outcomes.add(got)
         if budget == 2:
             assert None in outcomes
 
@@ -471,9 +484,11 @@ class TestWindowSearchReference:
             for targets in [set(rng.sample(sigs, len(sigs) // 2))] + [
                 {signature_of(w, k, d)} for w in words
             ]:
-                args = (spec.nfa, spec.i1, spec.f1, targets, k, d, budget)
-                got = _meets(*args)
-                assert got is _reference_meets(*args), (seed, k, d, targets)
+                win = Windows(k, d)
+                goals = {win.counts_of(t) for t in targets}
+                got = _meets(spec.nfa, spec.i1, spec.f1, win, goals, budget)
+                want = _reference_meets(spec.nfa, spec.i1, spec.f1, targets, k, d, budget)
+                assert got is want, (seed, k, d, targets)
                 outcomes.add(got)
         assert {True, False} <= outcomes
         if budget == 5:
@@ -484,9 +499,7 @@ def _full_separator(handle):
     """The explicit separator by the unpruned walk: every window state over
     the whole alphabet, the accepting ones marked after the walk."""
     spec, k, d = handle.spec, handle.k, handle.d
-    sigs = handle.signatures
-    if sigs is None:
-        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
+    sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
     alphabet = tuple(spec.nfa.alphabet)
     win = Windows(k, d)
     index = {}
@@ -560,7 +573,9 @@ class TestProbeHandle:
         probe_handle = v.separator
         k, d = probe_handle.k, probe_handle.d
         fixed_handle = decide_fixed(spec, k, d).separator
-        assert fixed_handle.signatures is None
+        # the probe's handle arrives with its table, decide_fixed's does not
+        assert "l1_table" in vars(probe_handle)
+        assert "l1_table" not in vars(fixed_handle)
         sigs = language_signatures(spec.nfa, spec.i1, spec.f1, k, d)
         nfa, i, f = separator_automaton(probe_handle)
         sigma = spec.nfa.alphabet
@@ -611,8 +626,9 @@ class TestL1Table:
     number of walks over L1 counted."""
 
     def test_answers_match_references(self):
-        # handles as decide_fixed builds them (no signatures) and as the
-        # probe builds them (L1's signature set), on L1 and on an empty L1
+        # handles as decide_fixed builds them and as the probe leaves them,
+        # with L2's window pairs numbered in the table's Windows by the
+        # probe's search, on L1 and on an empty L1
         # (k, d) whose walk over L1 passes the budget are left to
         # test_budget_between_pruned_and_full_walk
         budget = 5_000
@@ -634,10 +650,9 @@ class TestL1Table:
                     words += _random_words(rng, sigma, 4, 8)
                     # shorter than the window
                     words += _random_words(rng, sigma, 2, k - 1)
-                    for handle in (
-                        SeparatorHandle(k, d, s, budget),
-                        SeparatorHandle(k, d, s, budget, frozenset(sigs)),
-                    ):
+                    probed = SeparatorHandle(k, d, s, budget)
+                    _meets(s.nfa, s.i2, s.f2, *probed.l1_table, budget)
+                    for handle in (SeparatorHandle(k, d, s, budget), probed):
                         # an empty L1 has an empty table, not None
                         _win, goals = handle.l1_table
                         assert (goals == frozenset()) is (s is empty)
@@ -646,8 +661,9 @@ class TestL1Table:
                             expect = sig in sigs
                             got = separator_membership(handle, w)
                             assert got is expect, (seed, k, d, w)
+                            win = Windows(k, d)
                             assert got is _meets(
-                                s.nfa, s.i1, s.f1, {sig}, k, d, budget
+                                s.nfa, s.i1, s.f1, win, {win.counts_of(sig)}, budget
                             ), (seed, k, d, w)
                             size = "empty" if not w else "short" if len(w) < k else "long"
                             seen.add((s is empty, size, got))
@@ -663,7 +679,7 @@ class TestL1Table:
     def test_one_walk_over_l1(self, monkeypatch):
         spec = gen_random(30_021, 3, 2, 0.35)
         handle = decide_fixed(spec, 2, 1).separator
-        assert handle is not None and handle.signatures is None
+        assert handle is not None and "l1_table" not in vars(handle)
         l1_edges = out_edges(spec.nfa)
         walks = []
         real = profiles.window_walk
@@ -685,6 +701,44 @@ class TestL1Table:
         for w in words:
             assert accepts(nfa, i, f, w) == separator_membership(handle, w), w
         assert walks == ["L1", "other"]
+
+    def test_probe_handle_shared_by_lt_and_ltt(self, monkeypatch):
+        # past the reduction budget both classes take the probe at (1, 1):
+        # one walk over L1 builds the handle's table, one over L2 searches
+        # it, and both verdicts, their queries and the automaton reuse it
+        spec = gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1))))
+        rng = random.Random(21)
+        words = _random_words(rng, spec.nfa.alphabet, 30, 8)
+        words += sample_words(spec.nfa, spec.i1, spec.f1, 10, rng)
+        sigs = language_signatures(spec.nfa, spec.i1, spec.f1, 1, 1)
+        expect = [signature_of(w, 1, 1) in sigs for w in words]
+        assert set(expect) == {True, False}
+        edges = out_edges(spec.nfa)
+        walks = []
+        real = profiles.window_walk
+
+        def counting(delta, starts, win, budget, keep=None):
+            side = {spec.i1: "L1", spec.i2: "L2"}.get(frozenset(starts))
+            walks.append(side if delta == edges else "other")
+            return real(delta, starts, win, budget, keep)
+
+        def no_signature(self, counts):
+            raise AssertionError("a signature left a walk")
+
+        monkeypatch.setattr(profiles, "window_walk", counting)
+        monkeypatch.setattr(separ, "window_walk", counting)
+        monkeypatch.setattr(Windows, "signature", no_signature)
+        ltt = decide_ltt(spec)
+        lt = decide_lt(spec)
+        assert (ltt.k, ltt.d, lt.k, lt.d) == (1, 1, 1, 1)
+        assert ltt.notes["via"] == lt.notes["via"] == "fixed-probe"
+        assert lt.separator is ltt.separator
+        for v, half in ((ltt, slice(0, 20)), (lt, slice(20, 40))):
+            answers = [separator_membership(v.separator, w) for w in words[half]]
+            assert answers == expect[half]
+        nfa, i, f = separator_automaton(lt.separator)
+        assert walks == ["L1", "L2", "other"]
+        assert [accepts(nfa, i, f, w) for w in words] == expect
 
     def test_budget_between_pruned_and_full_walk(self):
         # the table's walk passes the budget, so each query searches L1's
