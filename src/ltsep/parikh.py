@@ -44,16 +44,21 @@ Every model bounds its variables by a box, which is also the big-M of its
 threshold rows and cuts; HiGHS is far faster in a small box than in the
 100,000 `cap`.  match_fixed first solves in the box _fixed_bound: at a
 threshold d, a proven bound on the run length of some match when one
-exists; for an exact match, a first guess of twice the summed state
-count.  It keeps that answer when the box makes it final: UNSAT at a
-given threshold, or SAT whose minimum variable sum, less the four
-endpoint selectors, fits in the box, which is then the minimum of the cap
-model too.  Otherwise it solves again at cap.  feasible gets its box from
-its caller; match_limit solves at cap, since there an UNSAT answer in a
-small box settles nothing.
+exists; for an exact match, a first guess, the larger state count.  An
+UNSAT answer is final there at a given threshold; at d=None the match is
+solved again at cap.  A SAT answer of cost z sets its own box: every
+variable of a solution that costs at most z, less the four endpoint
+selectors, is at most z - 4, so the optimum in the box z - 4 is the cap
+optimum.  The answer is final when z - 4 fits the box it was found in;
+otherwise one more solve in the box min(cap, z - 4) gives the final
+answer.  feasible gets its box from its caller; match_limit solves at
+cap, since there an UNSAT answer in a small box settles nothing.
 """
 
+import os
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,6 +74,23 @@ UNKNOWN = "unknown"
 
 # the most solves one connectivity-cut loop makes before it reports a stall
 MAX_CUT_ROUNDS = 200
+
+
+@contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 for the body.
+
+    HiGHS prints some messages from C++ straight to descriptor 1, past
+    sys.stdout, where they would break a JSON standard output.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 class SolverStall(RuntimeError):
@@ -129,7 +151,7 @@ class MipModel:
         # and infeasibility proofs are unaffected.  Feasibility jump is off
         # (see the module docstring); scipy passes the option on to HiGHS
         # unchanged but warns that it does not know it
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _stdout_to_stderr():
             warnings.filterwarnings(
                 "ignore", "Unrecognized options", RuntimeWarning
             )
@@ -679,20 +701,21 @@ def _fixed_bound(sys1, sys2, letters, d):
     with edge counts in the box satisfies the box's cuts.
 
     Exact matches (d=None) have no such bound: {a^7j} and {a^11j} match
-    only at 77t letters.  There the box, twice the summed state count plus
-    three, is a first guess, and only a SAT answer inside it is final.
+    only at 77t letters.  There the box, the larger state count, is a
+    first guess, and only a SAT answer can be final in it.
 
-    A SAT answer whose optimum (the variable sum: every variable is
-    nonnegative with cost 1) is at most the box is final for any d: a
-    cheaper connected solution in a larger box would have every variable
-    below the box, so it would lie in the box and satisfy the box's cuts.
-    The boxed optimum is then the optimum in the larger box.  Every
-    solution sets exactly four endpoint selectors, so an optimum up to the
-    box plus 4 is final too: a cheaper solution has every other variable at
-    most the optimum minus 5.
+    A SAT answer of cost z (the variable sum: every variable is
+    nonnegative with cost 1) fixes the box in which the optimum lies, for
+    any d.  Every solution sets exactly four endpoint selectors, so a
+    solution of cost at most z has every other variable at most z - 4.  It
+    is a connected flow inside the box z - 4, so it satisfies that box's
+    seed rows and cuts, whose big-M is the box.  The optimum in the box
+    z - 4, or in any larger box, is therefore the optimum at cap: the
+    answer is final when z - 4 is at most the box it was found in, and
+    otherwise one solve in the box z - 4 gives the final answer.
     """
     if d is None:
-        return 2 * (sys1.nfa.n_states + sys2.nfa.n_states) + 3
+        return max(sys1.nfa.n_states, sys2.nfa.n_states)
     box = 0
     for system in (sys1, sys2):
         bounds = system.letter_bounds
@@ -741,35 +764,37 @@ def match_fixed(sys1, sys2, letters, d, cap=100_000):
     count as the constant 0 on that side.
 
     The match is first solved in the box B = min(cap, _fixed_bound), where
-    the MILP is far easier than in the cap box.  Its answer stands when it
-    is UNSAT at a given d, or SAT with objective at most B + 4, which is
-    then the cap optimum (see _fixed_bound).  Otherwise (UNSAT at d=None, a
-    costlier optimum, or a stall) the model is built again at cap and
-    solved again.  A stall at cap keeps a boxed SAT answer: its flows are a
-    match, perhaps not the cheapest.
+    the MILP is far easier than in the cap box.  An UNSAT answer there is
+    final at a given d; at d=None, or after a stall, the match is solved
+    again at cap.  A SAT answer of cost z is final when z - 4 <= B;
+    otherwise the match is solved once more in the box min(cap, z - 4),
+    whose optimum is the cap optimum (see _fixed_bound).  A stall after a
+    SAT answer keeps it: its flows are a match, perhaps not the cheapest.
     """
     if not sys1.i or not sys1.f or not sys2.i or not sys2.f:
         return MatchResult(UNSAT)
     letters = list(letters)
     fixed = _fixed_bound(sys1, sys2, letters, d)
+    box = min(cap, fixed)
     res = MatchResult(UNKNOWN)
-    for box in sorted({min(cap, fixed), cap}):
+    while True:
         model, s1, s2, reqs = _match_model(sys1, sys2, letters, d, box)
         try:
             sol = _solve_connected(model, reqs)
         except SolverStall:
-            if res.status != SAT:
-                res = MatchResult(UNKNOWN)
-            continue
-        if sol is None:
-            res = MatchResult(UNSAT, certain=d is None or fixed <= box)
-            if d is not None:
-                break
+            if res.status == SAT:
+                return res
+            res, nxt = MatchResult(UNKNOWN), cap
         else:
-            res = MatchResult(SAT, _extract(s1, sol), _extract(s2, sol))
-            if sum(sol) - 4 <= box:
-                break
-    return res
+            if sol is None:
+                res = MatchResult(UNSAT, certain=d is None or fixed <= box)
+                nxt = cap if d is None else box
+            else:
+                res = MatchResult(SAT, _extract(s1, sol), _extract(s2, sol))
+                nxt = min(cap, sum(sol) - 4)
+        if nxt <= box:
+            return res
+        box = nxt
 
 
 @dataclass

@@ -103,23 +103,37 @@ def _blocks(loops, mids, i_all, f_all):
     A letter keeps the pairs of its middle whose left state lies on D_l (in
     i_all for 'p' and 'w') and whose right state lies on D_r (in f_all for
     's' and 'w'); letters without pairs, and repeats of one kind, pair set
-    and labels under a later middle, are dropped.
+    and labels under a later middle, are dropped.  Each middle's pairs are
+    put once into a bucket per (D_l, D_r) their states allow, None standing
+    for i_all on the left and f_all on the right, and each letter reads its
+    bucket.
     """
     ends = [("w", None, None)]
     ends += [("p", None, dr) for dr in loops]
     ends += [("s", dl, None) for dl in loops]
     ends += [("i", dl, dr) for dl in loops for dr in loops]
+    lefts = dict.fromkeys(i_all, (None,))  # state -> the D_l it lies on
+    rights = dict.fromkeys(f_all, (None,))  # state -> the D_r it lies on
+    for lab in loops:
+        for q in lab:
+            lefts[q] = lefts.get(q, ()) + (lab,)
+            rights[q] = rights.get(q, ()) + (lab,)
     catalog, seen = [], set()
     for rel, mid in mids:
+        buckets = {}
+        for pq in rel:
+            for dl in lefts.get(pq[0], ()):
+                for dr in rights.get(pq[1], ()):
+                    buckets.setdefault((dl, dr), []).append(pq)
         for kind, dl, dr in ends:
-            lefts = i_all if dl is None else dl
-            rights = f_all if dr is None else dr
-            pairs = frozenset((p, q) for (p, q) in rel if p in lefts and q in rights)
-            if pairs and (kind, pairs, dl, dr) not in seen:
-                seen.add((kind, pairs, dl, dr))
-                catalog.append(
-                    SyncSet(pairs, kind, mid, loops.get(dl), loops.get(dr), dl, dr)
-                )
+            bucket = buckets.get((dl, dr))
+            if bucket:
+                pairs = frozenset(bucket)
+                if (kind, pairs, dl, dr) not in seen:
+                    seen.add((kind, pairs, dl, dr))
+                    catalog.append(
+                        SyncSet(pairs, kind, mid, loops.get(dl), loops.get(dr), dl, dr)
+                    )
     return catalog
 
 

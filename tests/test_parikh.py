@@ -193,50 +193,78 @@ class TestMatchFixedBox:
         monkeypatch.setattr(pk, "_match_model", recording)
         return boxes
 
-    def test_costly_exact_match_is_solved_again_at_cap(self, monkeypatch):
+    def test_costly_exact_match_is_solved_again_in_its_own_box(self, monkeypatch):
         # L1 = {a^7j}, L2 = {a^11j}: every exact match has 77t letters, so
-        # the optimum costs more than the first box and is not accepted there
+        # the first answer costs 77 + 77 + 4 = 158, more than the box of 12
+        # can make final, and the match is solved once more in the box 154
         sys1, sys2 = _cycle("a" * 7), _cycle("a" * 11)
-        assert _first_box(sys1, sys2, ["a"], None) == 43
+        assert _first_box(sys1, sys2, ["a"], None) == 12
         boxes = self._record_boxes(monkeypatch)
         res = pk.match_fixed(sys1, sys2, ["a"], None)
         assert res.status == pk.SAT
         assert _flow_counts(res.assignment1) == {"a": 77}
         assert _flow_counts(res.assignment2) == {"a": 77}
-        assert boxes == [43, 100_000]
+        assert boxes == [12, 154]
+
+    def test_resolve_in_the_answers_box_finds_a_cheaper_match(self, monkeypatch):
+        # L1 = a^+ (b^5)^+ through a one-state a-loop, or (a^10)^+ (b^5)^+
+        # through a 10-cycle; L2 = (a^5 b)^+.  The cheapest match, a^25 b^5,
+        # crosses the a-loop 24 times, outside the first box of 17, where
+        # only a^50 b^10 fits (cost 124); one solve in the box 124 - 4 = 120
+        # finds the cheaper match, and the answer is final there
+        trans = [(0, "a", 1), (1, "a", 1), (1, "b", 12), (0, "a", 2)]
+        trans += [(q, "a", q + 1) for q in range(2, 11)]
+        trans += [(11, "a", 2), (11, "b", 12)]
+        trans += [(q, "b", q + 1) for q in range(12, 16)] + [(16, "b", 12)]
+        sys1 = pk.flow_system(Nfa(17, ("a", "b"), frozenset(trans)), {0}, {16})
+        sys2 = _cycle("aaaaab")
+        assert _first_box(sys1, sys2, ["a", "b"], None) == 17
+        assert _boxed_objective(sys1, sys2, ["a", "b"], None, 17) == 124
+        boxes = self._record_boxes(monkeypatch)
+        res = pk.match_fixed(sys1, sys2, ["a", "b"], None)
+        assert res.status == pk.SAT
+        assert _flow_counts(res.assignment1) == {"a": 25, "b": 5}
+        assert _flow_counts(res.assignment2) == {"a": 25, "b": 5}
+        assert boxes == [17, 120]
+        assert _boxed_objective(sys1, sys2, ["a", "b"], None, 100_000) == 64
 
     def test_exact_match_outside_the_box_is_found_at_cap(self, monkeypatch):
         # L1 = (a^6 b)^+, L2 = (b^11)^+ with an a-loop on its final state:
-        # every exact match puts 66t > 43 a's on that one loop, so the first
+        # every exact match puts 66t > 12 a's on that one loop, so the first
         # box is infeasible, and at d=None that is not final
         sys1 = _cycle("aaaaaab")
         sys2 = _cycle("b" * 11, extra=[(11, "a", 11)])
-        assert _first_box(sys1, sys2, ["a", "b"], None) == 43
+        assert _first_box(sys1, sys2, ["a", "b"], None) == 12
         boxes = self._record_boxes(monkeypatch)
         res = pk.match_fixed(sys1, sys2, ["a", "b"], None)
         assert res.status == pk.SAT
         assert _flow_counts(res.assignment1) == {"a": 66, "b": 11}
         assert _flow_counts(res.assignment2) == {"a": 66, "b": 11}
-        assert boxes == [43, 100_000]
+        assert boxes == [12, 100_000]
 
-    def test_stall_at_cap_keeps_only_a_boxed_match(self, monkeypatch):
-        # a stall of the cap solve keeps the box's SAT answer (its flows are
-        # a match, perhaps not the cheapest), but not the box's UNSAT, which
-        # is not final for an exact match
+    def test_stall_after_the_first_box_keeps_only_a_boxed_match(self, monkeypatch):
+        # a stall of every solve after the first keeps the box's SAT answer
+        # (its flows are a match, perhaps not the cheapest), but not the
+        # box's UNSAT, which is not final for an exact match
         real = pk._solve_connected
+        calls = []
 
-        def stall_at_cap(model, reqs):
-            if reqs[0].cap == 100_000:
+        def stall_after_first(model, reqs):
+            calls.append(reqs[0].cap)
+            if len(calls) > 1:
                 raise pk.SolverStall("stalled")
             return real(model, reqs)
 
-        monkeypatch.setattr(pk, "_solve_connected", stall_at_cap)
+        monkeypatch.setattr(pk, "_solve_connected", stall_after_first)
         costly = pk.match_fixed(_cycle("a" * 7), _cycle("a" * 11), ["a"], None)
         assert costly.status == pk.SAT
         assert _flow_counts(costly.assignment1) == {"a": 77}
+        assert calls == [12, 154]
+        calls.clear()
         sys2 = _cycle("b" * 11, extra=[(11, "a", 11)])
         outside = pk.match_fixed(_cycle("aaaaaab"), sys2, ["a", "b"], None)
         assert outside.status == pk.UNKNOWN
+        assert calls == [12, 100_000]
 
     def test_unsat_at_a_threshold_is_final_in_the_box(self, monkeypatch):
         # {eps} against {a} at d = 1: no match, and the first box proves it
@@ -250,8 +278,8 @@ class TestMatchFixedBox:
     def test_letter_below_threshold_pins_cycles(self, monkeypatch):
         # L1 = (a^11 b)^+ against L2 = b^4 a^*, at d = 5: b stays below 5 in
         # L2, so both b counts are 4, which pins L1 to four periods and 44
-        # a's, more than twice the summed state count; the box counts the
-        # marks of every letter and finds the match in one solve
+        # a's, more than three times the larger state count; the box counts
+        # the marks of every letter and finds the match in one solve
         sys1 = _cycle("a" * 11 + "b")
         trans = [(q, "b", q + 1) for q in range(4)] + [(4, "a", 4)]
         sys2 = pk.flow_system(Nfa(5, ("a", "b"), frozenset(trans)), {0}, {4})
@@ -280,11 +308,13 @@ class TestMatchFixedBox:
         assert res.status == pk.SAT
         assert len(solves) == 1
 
-    def test_boxed_optimum_equals_cap_optimum(self):
+    def test_boxed_optimum_equals_cap_optimum(self, monkeypatch):
         # exact matches on the pools of satisfiable CNF encodings and a
         # threshold-1 match on a reduced automaton, each with first
         # solutions of disconnected support in both boxes, plus plain
-        # matches on criterion 8's reduced automata at d = 1 and 8
+        # matches on criterion 8's reduced automata at d = 1 and 8: the
+        # answer match_fixed returns, its last solve's, costs the optimum
+        # of the model built at cap
         cases = [
             (build_reduced_pool(gen_sat_instance(cnf)), None)
             for cnf in (
@@ -297,14 +327,23 @@ class TestMatchFixedBox:
         for seed in (10_000, 10_003, 10_011):
             red = build_reduced(gen_random(seed, 3, 2, 0.4))
             cases += [(red, 1), (red, 8)]
+        costs = []
+        real = pk._solve_connected
+
+        def recording(model, reqs):
+            sol = real(model, reqs)
+            costs.append(None if sol is None else sum(sol))
+            return sol
+
         for red, d in cases:
             sys1 = pk.flow_system(red.nfa, red.i1, red.f1)
             sys2 = pk.flow_system(red.nfa, red.i2, red.f2)
             letters = sorted(set(sys1.letters) | set(sys2.letters))
-            box = _first_box(sys1, sys2, letters, d)
-            got = _boxed_objective(sys1, sys2, letters, d, box)
-            assert got is not None and got <= box
-            assert got == _boxed_objective(sys1, sys2, letters, d, 100_000)
+            with monkeypatch.context() as m:
+                m.setattr(pk, "_solve_connected", recording)
+                assert pk.match_fixed(sys1, sys2, letters, d).status == pk.SAT
+            optimum = _boxed_objective(sys1, sys2, letters, d, 100_000)
+            assert costs[-1] == optimum, (d, costs[-1], optimum)
 
 
 class TestMatchLimit:
@@ -935,3 +974,19 @@ class TestNoLeakedWarnings:
             assert pk.match_fixed(*spokes, ["a", "c", "e"], 1).status == pk.UNSAT
             assert warnings.filters == before
         assert len(solves) >= 4
+
+
+class TestSolverOutput:
+    def test_highs_prints_nothing_to_stdout(self, capfd):
+        # on this model HiGHS prints a line from C++ to file descriptor 1;
+        # MipModel.solve sends it to descriptor 2, so stdout stays clean
+        # for --json output
+        model, _s1, _s2, reqs = pk._match_model(
+            _cycle("a" * 7), _cycle("a" * 11), ["a"], None, 12
+        )
+        print("before")
+        sol = pk._solve_connected(model, reqs)
+        print("after")
+        assert sum(sol) == 158
+        out, _err = capfd.readouterr()
+        assert out == "before\nafter\n"

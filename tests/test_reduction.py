@@ -267,3 +267,64 @@ class TestPool:
         spec = gen_sat_instance(cnf)
         pool = build_reduced_pool(spec, max_letters=3)
         assert len(pool.nfa.alphabet) <= 3
+
+
+def _reference_blocks(loops, mids, i_all, f_all):
+    """_blocks as a plain filter: every kind and pair of labels scans the
+    middle's whole relation."""
+    ends = [("w", None, None)]
+    ends += [("p", None, dr) for dr in loops]
+    ends += [("s", dl, None) for dl in loops]
+    ends += [("i", dl, dr) for dl in loops for dr in loops]
+    catalog, seen = [], set()
+    for rel, mid in mids:
+        for kind, dl, dr in ends:
+            lefts = i_all if dl is None else dl
+            rights = f_all if dr is None else dr
+            pairs = frozenset((p, q) for (p, q) in rel if p in lefts and q in rights)
+            if pairs and (kind, pairs, dl, dr) not in seen:
+                seen.add((kind, pairs, dl, dr))
+                catalog.append(reduction.SyncSet(
+                    pairs, kind, mid, loops.get(dl), loops.get(dr), dl, dr
+                ))
+    return catalog
+
+
+class TestBlocks:
+    """The bucketed catalog is the plain filter's: the same letters in the
+    same order, with the same pairs (in the same iteration order, which
+    the wiring of the reduced automaton follows) and witnesses."""
+
+    @staticmethod
+    def _compare(monkeypatch, build, specs):
+        real = reduction._blocks
+        letters = []
+
+        def checking(*args):
+            got = real(*args)
+            want = _reference_blocks(*args)
+            assert got == want
+            assert [list(b.pairs) for b in got] == [list(b.pairs) for b in want]
+            letters.append(len(got))
+            return got
+
+        monkeypatch.setattr(reduction, "_blocks", checking)
+        for spec in specs:
+            try:
+                build(spec)
+            except SyncBudgetError:
+                pass
+        return letters
+
+    def test_criterion_6_pools(self, monkeypatch):
+        from test_acceptance import _formula_batch
+
+        specs = [gen_sat_instance(cnf) for cnf in _formula_batch()]
+        letters = self._compare(monkeypatch, build_reduced_pool, specs)
+        assert len(letters) == 50 and sum(letters) > 5_000
+
+    def test_unary_specs(self, monkeypatch):
+        # the reduce-unary family: 5 states, one letter, density 0.3
+        specs = [gen_random(s, 5, 1, 0.3) for s in range(120)]
+        letters = self._compare(monkeypatch, build_reduced, specs)
+        assert len(letters) > 50 and sum(letters) > 300
