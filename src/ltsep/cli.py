@@ -209,7 +209,7 @@ def _bound_text(k, alphabet_size, n):
     allows that many digits, else as the text '(profiles*n)^profiles', with
     profiles itself written 'num_profiles(k,|A|)' when it is too long too.
 
-    profiles * n >= 2, so the bound has at least profiles * (bits - 1) bits:
+    profiles * n >= 1, so the bound has at least profiles * (bits - 1) bits:
     past 8 * limit bits it has more than limit digits and is never built.
     """
     profiles = num_profiles(k, alphabet_size)

@@ -140,7 +140,7 @@ def threshold_bound(k, alphabet_size, n):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if alphabet_size < 1 or n < 1:
-        raise ValueError("alphabet_size and n must be >= 1")
+    if alphabet_size < 0 or n < 1:
+        raise ValueError("alphabet_size must be >= 0 and n >= 1")
     ak = num_profiles(k, alphabet_size)
     return (ak * n) ** ak

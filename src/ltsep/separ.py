@@ -171,8 +171,7 @@ def _decide_fixed_by_flow(spec, k, d, cfg):
     except AnnotationBudgetError:
         return Verdict("fixed", None, k, d, flags=["state-budget"])
     sys1, sys2 = pk.flow_systems((ann1.nfa, ann1.i, ann1.f), (ann2.nfa, ann2.i, ann2.f))
-    letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
-    res = pk.match_fixed(sys1, sys2, letters, d, cfg.solver_cap)
+    res = pk.match_fixed(sys1, sys2, sys1.letters, d, cfg.solver_cap)
     if res.status == pk.SAT:
         p1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
         p2 = pk.realize_word(sys2.nfa, sys2.i, sys2.f, res.assignment2)
@@ -194,9 +193,7 @@ def _decide_fixed_by_flow(spec, k, d, cfg):
 
 
 def _reduced_systems(red):
-    sys1, sys2 = pk.flow_systems((red.nfa, red.i1, red.f1), (red.nfa, red.i2, red.f2))
-    letters = sorted(set(sys1.nfa.alphabet) | set(sys2.nfa.alphabet))
-    return sys1, sys2, letters
+    return pk.flow_systems((red.nfa, red.i1, red.f1), (red.nfa, red.i2, red.f2))
 
 
 class _Evidence:
@@ -218,8 +215,7 @@ class _Evidence:
 
     @cached_property
     def reduced(self):
-        """(reduced automaton, sys1, sys2, letters), or None past the sync
-        budget."""
+        """(reduced automaton, sys1, sys2), or None past the sync budget."""
         try:
             red = build_reduced(self.spec)
         except SyncBudgetError:
@@ -229,8 +225,8 @@ class _Evidence:
     def match(self, d):
         """The exact match at threshold d on the reduced automaton."""
         if d not in self._matches:
-            _red, sys1, sys2, letters = self.reduced
-            self._matches[d] = pk.match_fixed(sys1, sys2, letters, d, self.cfg.solver_cap)
+            _red, sys1, sys2 = self.reduced
+            self._matches[d] = pk.match_fixed(sys1, sys2, sys1.letters, d, self.cfg.solver_cap)
         return self._matches[d]
 
     def probe(self, k, d):
@@ -242,8 +238,8 @@ class _Evidence:
     def pool(self):
         """(pool automaton, sys1, sys2, its exact match at every threshold)."""
         pool = build_reduced_pool(self.spec)
-        sys1, sys2, letters = _reduced_systems(pool)
-        return pool, sys1, sys2, pk.match_fixed(sys1, sys2, letters, None, self.cfg.solver_cap)
+        sys1, sys2 = _reduced_systems(pool)
+        return pool, sys1, sys2, pk.match_fixed(sys1, sys2, sys1.letters, None, self.cfg.solver_cap)
 
 
 @lru_cache(maxsize=1)
@@ -279,7 +275,7 @@ def _decide_full(spec, cfg, problem, settle):
 def _settle_lt(spec, cfg):
     """LT: an exact match at threshold 1 on the reduced automaton."""
     ev = _evidence(spec, cfg)
-    red, sys1, sys2, _letters = ev.reduced
+    red, sys1, sys2 = ev.reduced
     res = ev.match(1)
     if res.status == pk.SAT:
         r1 = pk.realize_word(sys1.nfa, sys1.i, sys1.f, res.assignment1)
@@ -304,8 +300,8 @@ def _settle_ltt(spec, cfg):
     """LTT: a pump certificate on the reduced automaton, or else the least
     doubled threshold at which no exact match exists."""
     ev = _evidence(spec, cfg)
-    red, sys1, sys2, letters = ev.reduced
-    res = pk.match_limit(sys1, sys2, letters, cfg.solver_cap)
+    red, sys1, sys2 = ev.reduced
+    res = pk.match_limit(sys1, sys2, sys1.letters, cfg.solver_cap)
     if res.status == pk.SAT:
         cert = res.assignment1
 

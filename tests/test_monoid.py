@@ -149,6 +149,8 @@ class TestBounds:
         assert threshold_bound(2, 1, 2) == 4096
         assert threshold_bound(12, 1, 3) == 147 ** 49
         assert threshold_bound(12, 1, 2) == 98 ** 49
+        # the empty word is the one profile over no letter
+        assert threshold_bound(1, 0, 1) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +158,6 @@ class TestBounds:
         with pytest.raises(ValueError):
             threshold_bound(0, 1, 1)
         with pytest.raises(ValueError):
-            threshold_bound(1, 0, 1)
+            threshold_bound(1, -1, 1)
         with pytest.raises(ValueError):
             threshold_bound(1, 1, 0)

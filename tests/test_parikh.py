@@ -346,7 +346,57 @@ class TestMatchFixedBox:
             assert costs[-1] == optimum, (d, costs[-1], optimum)
 
 
+def _disjoint_reductions():
+    """The reduced automata of the disjoint gen_random(900 + s, 2, 2, 0.35),
+    s < 200."""
+    for seed in range(200):
+        spec = gen_random(900 + seed, 2, 2, 0.35)
+        if shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2) is None:
+            yield build_reduced(spec)
+
+
 class TestMatchLimit:
+    def test_pumped_flows_realize_on_random_reductions(self):
+        # match_limit asks connectivity only of base + cycle on each side,
+        # the support of every pumped flow base + t * cycle with t >= 1
+        certificates = 0
+        for red in _disjoint_reductions():
+            sides = [(red.i1, red.f1), (red.i2, red.f2)]
+            systems = pk.flow_systems(*((red.nfa, i, f) for i, f in sides))
+            res = pk.match_limit(*systems, systems[0].letters)
+            if res.status != pk.SAT:
+                continue
+            certificates += 1
+            for which, system, (i, f) in zip((1, 2), systems, sides):
+                for t in (1, 2, 4):
+                    flow = res.assignment1.pumped(which, t)
+                    w = pk.realize_word(system.nfa, system.i, system.f, flow)
+                    assert accepts(red.nfa, i, f, w) and len(w) >= t
+        assert certificates == 5
+
+    def test_pumped_flows_reach_a_cycle_off_the_base_path(self):
+        # side 1 reads x (aa | y a* y)* x, side 2 x y* a (aa)* x: the a-loop
+        # at state 4 is the cheapest a-cycle, and the base path x x never
+        # enters 4, so only y-edges in the pumped flows can reach it; a
+        # requirement on each side's base alone lets a certificate use that
+        # loop with no way in, and no pumped flow of it spells a word
+        nfa1 = Nfa(5, ("a", "x", "y"), frozenset([
+            (0, "x", 1), (1, "a", 2), (2, "a", 1), (1, "x", 3),
+            (1, "y", 4), (4, "a", 4), (4, "y", 1),
+        ]))
+        nfa2 = Nfa(4, ("a", "x", "y"), frozenset([
+            (0, "x", 1), (1, "a", 2), (2, "a", 1), (2, "x", 3), (1, "y", 1),
+        ]))
+        sides = [(nfa1, {0}, {3}), (nfa2, {0}, {3})]
+        systems = pk.flow_systems(*sides)
+        res = pk.match_limit(*systems, systems[0].letters)
+        assert res.status == pk.SAT
+        for which, system, (nfa, i, f) in zip((1, 2), systems, sides):
+            for t in (1, 2, 4):
+                flow = res.assignment1.pumped(which, t)
+                w = pk.realize_word(system.nfa, system.i, system.f, flow)
+                assert accepts(nfa, i, f, w) and len(w) >= t
+
     def test_parity_certificate(self):
         spec = gen_parity()
         sys1 = pk.flow_system(spec.nfa, spec.i1, spec.f1)
@@ -408,6 +458,17 @@ class TestLetterBounds:
                 edges = [(p, q) for (p, b, q) in system.edges if b == a]
                 on_cycle = any(p in reachable(system.nfa, {q}) for p, q in edges)
                 assert bounds[a] == (None if on_cycle else len(edges)), (seed, a)
+
+    def test_components_are_mutual_reachability_classes(self):
+        # two states share a strongly connected component iff each reaches
+        # the other
+        for seed in range(40):
+            spec = gen_random(seed, 1 + seed % 6, 1 + seed % 4, 0.3)
+            system = pk.flow_system(spec.nfa, spec.i1, spec.f1)
+            comp = system.components
+            reach = [reachable(system.nfa, {q}) for q in range(system.nfa.n_states)]
+            for p, q in itertools.product(range(system.nfa.n_states), repeat=2):
+                assert (comp[p] == comp[q]) == (q in reach[p] and p in reach[q]), seed
 
     def test_count_terms_index_matches_edge_scan(self):
         for seed in range(40):
@@ -751,11 +812,12 @@ class TestSharedLetterFixpoint:
 
     def test_empty_words_over_disjoint_letters(self):
         # a* against b*: cut down to no letter, each side still reads the
-        # empty word, so the systems are those of flow_system
+        # empty word, so each system is one initial and final state
         nfa = Nfa(2, ("a", "b"), frozenset([(0, "a", 0), (1, "b", 1)]))
         sides = [(nfa, {0}, {0}), (nfa, {1}, {1})]
         sys1, sys2 = pk.flow_systems(*sides)
-        assert [sys1, sys2] == [pk.flow_system(*side) for side in sides]
+        for system in (sys1, sys2):
+            assert system.edges == () and system.i & system.f
         for d in (None, 1):
             res = pk.match_fixed(sys1, sys2, ["a", "b"], d)
             assert res.status == pk.SAT
@@ -786,42 +848,53 @@ class TestSharedLetterFixpoint:
         assert (res.status, res.certain) == (pk.UNSAT, True)
 
     @staticmethod
-    def _compare(nfa, sides, thresholds):
+    def _compare(monkeypatch, nfa, sides, thresholds):
         """Whether flow_systems empties a side; either way each match has
         the status it has on the plain trimmed systems.
 
-        When no side is emptied, the systems are flow_system's, whose
-        statuses TestBisimulationMerge compares with the plain ones.
+        When no side is emptied, both systems read the same letters, and
+        match_fixed reaches the same certainty and optimum as on the plain
+        systems.
         """
         systems = pk.flow_systems(*((nfa, i, f) for i, f in sides))
-        if all(system.i for system in systems):
-            assert systems == [pk.flow_system(nfa, i, f) for i, f in sides]
-            return False
         plain = [_trimmed(nfa, i, f) for i, f in sides]
         letters = sorted(nfa.alphabet)
+        emptied = not all(system.i for system in systems)
+        if not emptied:
+            assert systems[0].letters == systems[1].letters
         for d in thresholds:
-            assert _status(*systems, letters, d) == _status(*plain, letters, d), d
-        return True
+            if emptied or d == "limit":
+                assert _status(*systems, letters, d) == _status(*plain, letters, d), d
+                continue
+            answers = [
+                TestBisimulationMerge._answer(
+                    monkeypatch, partial(pk.match_fixed, *pair, letters, d)
+                )
+                for pair in (systems, plain)
+            ]
+            assert answers[0] == answers[1], d
+        return emptied
 
-    def test_statuses_on_random_specs_and_reductions(self):
+    def test_statuses_on_random_specs_and_reductions(self, monkeypatch):
         # the sides of random specs, and those of the reduced automata of
         # disjoint ones, where the engine meets disjoint letters
         cases = []
         for seed in range(30):
             spec = gen_random(900 + seed, 2 + seed % 4, 1 + seed % 2, 0.35)
             cases.append((spec.nfa, [(spec.i1, spec.f1), (spec.i2, spec.f2)]))
-        for seed in range(200):
-            spec = gen_random(900 + seed, 2, 2, 0.35)
-            if shortest_common_word(spec.nfa, spec.i1, spec.f1, spec.i2, spec.f2) is None:
-                red = build_reduced(spec)
-                cases.append((red.nfa, [(red.i1, red.f1), (red.i2, red.f2)]))
-        emptied = [self._compare(nfa, sides, (None, 1, 2, "limit")) for nfa, sides in cases]
+        for red in _disjoint_reductions():
+            cases.append((red.nfa, [(red.i1, red.f1), (red.i2, red.f2)]))
+        emptied = [
+            self._compare(monkeypatch, nfa, sides, (None, 1, 2, "limit"))
+            for nfa, sides in cases
+        ]
         assert sum(emptied) >= 10 and emptied.count(False) >= 30
 
     @CRITERION_6_POOLS
-    def test_statuses_on_criterion_6_pools(self, cnf, thresholds):
+    def test_statuses_on_criterion_6_pools(self, monkeypatch, cnf, thresholds):
         pool = build_reduced_pool(gen_sat_instance(cnf))
-        assert not self._compare(pool.nfa, [(pool.i1, pool.f1), (pool.i2, pool.f2)], thresholds)
+        sides = [(pool.i1, pool.f1), (pool.i2, pool.f2)]
+        assert not self._compare(monkeypatch, pool.nfa, sides, thresholds)
 
 
 def _narrow_violation(req, sol):
