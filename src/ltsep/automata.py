@@ -5,7 +5,7 @@ transition structure can carry several languages L(nfa, I, F).
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SpecFormatError(ValueError):
@@ -146,11 +146,6 @@ def coreachable(nfa, f):
                 seen.add(p)
                 stack.append(p)
     return seen
-
-
-def is_empty(nfa, i, f):
-    """Whether L(nfa, i, f) is empty."""
-    return not (reachable(nfa, i) & set(f))
 
 
 def _bfs_word(i, f, succ):
@@ -323,7 +318,11 @@ def serialize_spec(spec):
 
 
 def dot_export(nfa, isets, fsets):
-    """DOT rendering with initial/final annotations per language index."""
+    """DOT rendering with initial/final annotations per language index.
+
+    Edge labels list the letters of an edge joined by ',', with '\\' and
+    '"' inside a letter escaped for DOT's quoted strings.
+    """
     lines = ["digraph nfa {", "  rankdir=LR;"]
     marks = {}
     for idx, s in enumerate(isets, start=1):
@@ -341,6 +340,7 @@ def dot_export(nfa, isets, fsets):
     for (p, a, q) in sorted(nfa.transitions):
         grouped.setdefault((p, q), []).append(a)
     for (p, q), syms in sorted(grouped.items()):
-        lines.append('  n%d -> n%d [label="%s"];' % (p, q, ",".join(syms)))
+        label = ",".join(a.replace("\\", "\\\\").replace('"', '\\"') for a in syms)
+        lines.append('  n%d -> n%d [label="%s"];' % (p, q, label))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,12 +12,10 @@ import sys
 import time
 
 from . import separ
-from .automata import SpecFormatError, dot_export, parse_spec, serialize_spec
-from .monoid import (
-    MonoidBudgetError, num_profiles, profile_width_bound, threshold_bound, transition_monoid,
-)
+from .automata import dot_export, parse_spec, serialize_spec
+from .monoid import num_profiles, profile_width_bound, threshold_bound, transition_monoid
 from .profiles import capped_image, profile_at
-from .reduction import SyncBudgetError, build_reduced
+from .reduction import build_reduced
 from .testkit import (
     exact_fixed_oracle, gen_parity, gen_random, gen_sat_instance, gen_threshold_family, parse_cnf,
 )
@@ -355,14 +353,9 @@ def main(argv=None):
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (
-        ValueError,
-        OSError,
-        SpecFormatError,
-        SyncBudgetError,
-        MonoidBudgetError,
-        separ.AnnotationBudgetError,
-    ) as exc:
+    except Exception as exc:
+        # spec errors, I/O errors, exceeded budgets and internal errors alike:
+        # none of them is a verdict
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

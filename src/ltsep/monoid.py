@@ -43,14 +43,6 @@ def mat_mul(m1, m2):
     return tuple(out)
 
 
-def word_matrix(nfa, w):
-    """Matrix of a word: product of its letter matrices."""
-    m = identity_matrix(nfa.n_states)
-    for a in w:
-        m = mat_mul(m, letter_matrix(nfa, a))
-    return m
-
-
 @dataclass
 class TransitionMonoid:
     """Closure of the letter matrices under Boolean product.

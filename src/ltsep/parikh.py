@@ -359,11 +359,11 @@ def flow_systems(*sides):
 
 @dataclass
 class FlowAssignment:
-    """A realizable flow: edge multiplicities plus endpoint choice."""
+    """A realizable flow: edge multiplicities plus the initial state its
+    word starts from."""
 
     edge_mult: dict
     source: int
-    sink: int
 
 
 @dataclass
@@ -581,8 +581,7 @@ def _solve_connected(model, reqs):
 
 def _extract(side, sol):
     src = next(q for q, v in side.src_vars.items() if sol[v] > 0)
-    snk = next(q for q, v in side.snk_vars.items() if sol[v] > 0)
-    return FlowAssignment(side.edge_mult(sol), src, snk)
+    return FlowAssignment(side.edge_mult(sol), src)
 
 
 @dataclass
@@ -782,7 +781,7 @@ class PumpCertificate:
         mult = dict(base.edge_mult)
         for e, m in cyc.items():
             mult[e] = mult.get(e, 0) + t * m
-        return FlowAssignment(mult, base.source, base.sink)
+        return FlowAssignment(mult, base.source)
 
 
 def match_limit(sys1, sys2, letters, cap=100_000):

@@ -13,6 +13,10 @@ from collections import deque
 from .automata import Nfa
 
 
+# Profile.symbol escapes these characters inside a letter
+_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "|": "\\|"})
+
+
 class AnnotationBudgetError(RuntimeError):
     """The annotation automaton exceeded the configured state budget."""
 
@@ -34,8 +38,16 @@ class Profile:
     k: int
 
     def symbol(self):
-        """Render as a string usable as an alphabet symbol."""
-        return "%s|%s" % (",".join(self.left), ",".join(self.right))
+        """Render as a string usable as an alphabet symbol.
+
+        Letters are joined by ',' and the two windows by '|'; a '\\', ','
+        or '|' inside a letter is escaped with '\\', so that distinct
+        profiles get distinct names.
+        """
+        return "%s|%s" % (
+            ",".join([a.translate(_ESCAPES) for a in self.left]),
+            ",".join([a.translate(_ESCAPES) for a in self.right]),
+        )
 
 
 @dataclass(frozen=True)
@@ -62,12 +74,6 @@ def profile_at(w, x, k):
     left = w[max(0, x - kl):x]
     right = w[x:min(x + kr, len(w))]
     return Profile(left, right, k)
-
-
-def profile_word(w, k):
-    """The sequence of profiles of all positions of w."""
-    w = tuple(w)
-    return tuple(profile_at(w, x, k) for x in range(len(w)))
 
 
 def capped_image(w, k, d):
@@ -131,15 +137,11 @@ def annotate(nfa, i, f, k, state_budget):
 
     # state: (q, left, buf, closed)
     init = [(q0, (), (), False) for q0 in sorted(set(i))]
-    index = {}
-    order = []
-    for s in init:
-        if s not in index:
-            index[s] = len(order)
-            order.append(s)
+    order = list(init)
+    index = {s: n for n, s in enumerate(init)}
     transitions = set()
     symtab = {}
-    queue = deque(order)
+    queue = deque(init)
     while queue:
         st = queue.popleft()
         q, left, buf, closed = st
@@ -167,8 +169,7 @@ def annotate(nfa, i, f, k, state_budget):
             for pr, now_closed in prs:
                 prof = Profile(left, pr, k)
                 sym = prof.symbol()
-                if sym not in symtab:
-                    symtab[sym] = prof
+                symtab.setdefault(sym, prof)
                 new_left = (left + (c,))[-kl:] if kl else ()
                 new_buf = pr[1:]
                 for q2 in succs:
@@ -183,13 +184,12 @@ def annotate(nfa, i, f, k, state_budget):
                         order.append(st2)
                         queue.append(st2)
                     transitions.add((src, sym, index[st2]))
-    fset = frozenset(
-        index[st] for st in order if st[0] in set(f) and st[2] == ()
-    )
-    iset = frozenset(index[s] for s in init)
+    fs = set(f)
+    fset = frozenset(index[st] for st in order if st[0] in fs and st[2] == ())
+    iset = frozenset(range(len(init)))
     out_alphabet = tuple(sorted(symtab))
     ann_nfa = Nfa(len(order), out_alphabet, frozenset(transitions))
-    return Annotation(ann_nfa, iset, fset, dict(symtab))
+    return Annotation(ann_nfa, iset, fset, symtab)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,9 @@ def annotate(nfa, i, f, k, state_budget):
 # annotation transform above.  A walk works on interned profiles: its Windows
 # numbers the (left, right) window pairs met, and capped counts are a tuple of
 # d bitmasks over those numbers, so that the counts of a state are a few
-# ints.  The decision engine keeps counts throughout; signatures take their
+# ints.  A walk state is (state, buffer, counts): the buffer holds the last
+# <= kl+kr letters read, and flush reads the trailing positions off it.  The
+# decision engine keeps counts throughout; signatures take their
 # frozenset-of-(Profile, count) form (Windows.signature, language_signatures)
 # only for the independent oracle and the tests.
 
@@ -265,14 +267,13 @@ class Windows:
         nbuf, bit = hit
         return nbuf, (self.bump(counts, bit) if bit else counts)
 
-    def flush(self, buf, counts, total_len):
+    def flush(self, buf, counts):
         """Count the trailing positions, whose right windows are truncated,
-        of a word of length total_len (capped at kl+kr) ending in buf."""
+        of a word ending in buf, buf as step leaves it: the word itself when
+        it has at most kl+kr letters, else its last kl+kr."""
         kl, kr = self.kl, self.kr
-        n = total_len
-        for x in range(max(0, n - kr + 1), n):
-            pos = x - (n - len(buf))
-            counts = self.bump(counts, self.bit(buf[max(0, pos - kl):pos], buf[pos:pos + kr]))
+        for x in range(max(0, len(buf) - kr + 1), len(buf)):
+            counts = self.bump(counts, self.bit(buf[max(0, x - kl):x], buf[x:x + kr]))
         return counts
 
     def word_counts(self, w):
@@ -292,15 +293,6 @@ class Windows:
             counts = self.bump(counts, 1 << n)
         return counts
 
-    def counts_of(self, sig):
-        """The counts of a frozenset signature at this width and threshold."""
-        counts = list(self.empty)
-        for p, n in sig:
-            bit = self.bit(p.left, p.right)
-            for c in range(min(n, self.d)):
-                counts[c] |= bit
-        return tuple(counts)
-
     def signature(self, counts):
         """The frozenset-of-(Profile, count) signature of counts."""
         tally = {}
@@ -313,11 +305,6 @@ class Windows:
         )
 
 
-def signature_of(w, k, d):
-    """The capped image of w as a canonical frozenset signature."""
-    return frozenset(capped_image(w, k, d).counts)
-
-
 def out_edges(nfa):
     """Map each state of nfa to its list of (letter, successor) pairs."""
     delta = {}
@@ -327,34 +314,32 @@ def out_edges(nfa):
 
 
 def window_walk(delta, starts, win, budget, keep=None):
-    """Breadth-first walk over (state, window buffer, capped counts, fill).
+    """Breadth-first walk over (state, window buffer, capped counts).
 
     delta maps a state to its (letter, successor) pairs and win is the
     walk's Windows; the walk is finite because counts are capped and the
-    fill degree stops at the window width (past it the flush arithmetic no
-    longer depends on the length).  Yields (src, a, dst, new) for each
-    explored edge, first (None, None, st, True) for each start state; new
-    says whether dst is reached for the first time.  A state whose counts
-    fail keep is pruned: not explored, and an edge into it is yielded as
+    buffer keeps the last <= kl+kr letters, from which win.flush counts the
+    trailing positions.  Yields (src, a, dst, new) for each explored edge,
+    first (None, None, st, True) for each start state; new says whether dst
+    is reached for the first time.  A state whose counts fail keep is
+    pruned: not explored, and an edge into it is yielded as
     (src, a, None, False).  Raises AnnotationBudgetError instead of
     exceeding budget states.
     """
-    w_len = win.kl + win.kr
     step = win.step
     seen = set()
     queue = deque()
     for q0 in set(starts):
-        st = (q0, (), win.empty, 0)
+        st = (q0, (), win.empty)
         seen.add(st)
         queue.append(st)
         yield None, None, st, True
     while queue:
         src = queue.popleft()
-        q, buf, counts, fill = src
-        nfill = min(fill + 1, w_len)
+        q, buf, counts = src
         for (a, q2) in delta.get(q, ()):
             nbuf, ncounts = step(buf, counts, a)
-            dst = (q2, nbuf, ncounts, nfill)
+            dst = (q2, nbuf, ncounts)
             if dst in seen:
                 yield src, a, dst, False
                 continue
@@ -376,8 +361,8 @@ def language_counts(nfa, i, f, win, state_budget):
     """
     fset = set(f)
     return {
-        win.flush(buf, counts, fill)
-        for _src, _a, (q, buf, counts, fill), new in window_walk(
+        win.flush(buf, counts)
+        for _src, _a, (q, buf, counts), new in window_walk(
             out_edges(nfa), i, win, state_budget
         )
         if new and q in fset

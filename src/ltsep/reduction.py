@@ -288,15 +288,19 @@ class Decomp:
 
 @dataclass
 class DPattern:
-    """Inseparability witness: a shared word, or a counted block pattern."""
+    """Inseparability witness: a word both languages share, or a block
+    pattern given by one decomposition u0 v1 u1 ... vn un per language.
+
+    Exactly one of word and (decomp1, decomp2) is set, and origin is the
+    spec whose languages the words belong to.  pump_pattern repeats the
+    loops v1 ... vn of both decompositions and checks the word pair it
+    gets; a pattern decoded from a match at threshold d pumps into pairs
+    equivalent at threshold d.
+    """
 
     word: object = None  # tuple | None
-    prefix_block: object = None  # (u, v_r)
-    suffix_block: object = None  # (v_l, u)
-    counts: object = None  # dict block-triple -> int in 0..d
-    d: int = 1
-    decomp1: object = None
-    decomp2: object = None
+    decomp1: object = None  # Decomp | None
+    decomp2: object = None  # Decomp | None
     origin: object = None  # LangSpec
 
 
@@ -339,7 +343,7 @@ def decode_pattern(reduced, w1, w2, d):
     if len(w1) == 1 and cat[w1[0]].kind == "w":
         if tuple(w1) != tuple(w2):
             raise ValueError("weak letters cannot match distinct words")
-        return DPattern(word=tuple(cat[w1[0]].witness_mid), d=d, origin=reduced.origin)
+        return DPattern(word=tuple(cat[w1[0]].witness_mid), origin=reduced.origin)
     for syms in (w1, w2):
         kinds = [cat[s].kind for s in syms]
         if not (
@@ -352,19 +356,6 @@ def decode_pattern(reduced, w1, w2, d):
     if w1[0] != w2[0] or w1[-1] != w2[-1]:
         raise ValueError("matched words must share prefix and suffix letters")
 
-    def block_of(sym):
-        b = cat[sym]
-        return (b.witness_left, tuple(b.witness_mid), b.witness_right)
-
-    bp, bs = cat[w1[0]], cat[w1[-1]]
-    prefix_block = (tuple(bp.witness_mid), bp.witness_right)
-    suffix_block = (bs.witness_left, tuple(bs.witness_mid))
-    counts = {}
-    for sym in w1[1:-1]:
-        blk = block_of(sym)
-        counts[blk] = counts.get(blk, 0) + 1
-    counts = {blk: min(d, c) for blk, c in counts.items()}
-
     def decomp(syms, i, f):
         run = find_run(reduced.nfa, i, f, syms)
         tags = [reduced.state_tags[q] for q in run]
@@ -376,10 +367,11 @@ def decode_pattern(reduced, w1, w2, d):
         _verify_decomp(reduced.origin.nfa, dec)
         return dec
 
-    d1 = decomp(w1, reduced.i1, reduced.f1)
-    d2 = decomp(w2, reduced.i2, reduced.f2)
     return DPattern(
-        None, prefix_block, suffix_block, counts, d, d1, d2, reduced.origin
+        None,
+        decomp(w1, reduced.i1, reduced.f1),
+        decomp(w2, reduced.i2, reduced.f2),
+        reduced.origin,
     )
 
 

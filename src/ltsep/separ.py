@@ -112,7 +112,6 @@ class Verdict:
     d: object = None  # int | 'limit'
     witness: object = None  # WitnessPair | DPattern | None
     separator: object = None  # SeparatorHandle | None
-    certificate: object = None  # PumpCertificate | None
     flags: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     _replay: object = None  # LTT: replays the certificate's pattern at d
@@ -264,7 +263,7 @@ def _decide_full(spec, cfg, problem, settle):
     if ev.common is not None:
         return Verdict(
             problem, False, 1, "limit" if problem == "ltt" else 1,
-            witness=DPattern(word=ev.common, d=1, origin=spec),
+            witness=DPattern(word=ev.common, origin=spec),
             notes={"reason": "nonempty intersection"},
         )
     if ev.reduced is None:
@@ -314,7 +313,6 @@ def _settle_ltt(spec, cfg):
         return Verdict(
             "ltt", False, 1, "limit",
             witness=pattern(1),
-            certificate=cert,
             _replay=lambda d, ell=1: pump_pattern(pattern(d), ell, d),
         )
     if res.status == pk.UNKNOWN:
@@ -504,7 +502,7 @@ def separator_membership(handle, w):
         for a in w:
             buf, counts = win.step(buf, counts, a)
         spec = handle.spec
-        goals = {win.flush(buf, counts, len(w))}
+        goals = {win.flush(buf, counts)}
         return _meets(spec.nfa, spec.i1, spec.f1, win, goals, handle.state_budget)
     win, goals = table
     counts = win.word_counts(w)
@@ -514,14 +512,15 @@ def separator_membership(handle, w):
 def separator_automaton(handle):
     """Materialize the separator as an explicit deterministic automaton.
 
-    States are (window buffer, capped counts, fill degree), numbered in
-    discovery order of a window walk over one state looping on every
-    letter; a state accepts when its flushed counts are in the handle's L1
-    image table, which the walk shares with membership.  The walk is pruned
-    as _meets prunes it (_goal_filter): no state past a pruned one accepts,
-    so every edge into a pruned state goes to one rejecting sink, numbered
-    last.  The walk, and the table's walk over L1 when the handle has not
-    made it yet, explore at most the handle's state_budget states.
+    States are (window buffer, capped counts), the buffer holding the last
+    <= kl+kr letters, numbered in discovery order of a window walk over one
+    state looping on every letter; a state accepts when its flushed counts
+    are in the handle's L1 image table, which the walk shares with
+    membership.  The walk is pruned as _meets prunes it (_goal_filter): no
+    state past a pruned one accepts, so every edge into a pruned state goes
+    to one rejecting sink, numbered last.  The walk, and the table's walk
+    over L1 when the handle has not made it yet, explore at most the
+    handle's state_budget states.
     """
     budget = handle.state_budget
     table = handle.l1_table
@@ -547,8 +546,8 @@ def separator_automaton(handle):
             "separator automaton exceeded %d states" % budget
         ) from None
     f = frozenset(
-        n for (_q, buf, counts, fill), n in index.items()
-        if win.flush(buf, counts, fill) in goals
+        n for (_q, buf, counts), n in index.items()
+        if win.flush(buf, counts) in goals
     )
     n = len(index)
     if pruned:

@@ -13,7 +13,6 @@ from ltsep.automata import (
     accepts,
     coreachable,
     dot_export,
-    is_empty,
     parse_spec,
     product,
     reachable,
@@ -236,8 +235,8 @@ class TestReachability:
         nfa = Nfa(3, ("a",), frozenset([(0, "a", 1)]))
         assert reachable(nfa, {0}) == {0, 1}
         assert coreachable(nfa, {1}) == {0, 1}
-        assert is_empty(nfa, {0}, {2})
-        assert not is_empty(nfa, {0}, {1})
+        assert shortest_word(nfa, {0}, {2}) is None
+        assert shortest_word(nfa, {0}, {1}) is not None
 
     def test_shortest_word(self):
         rng = random.Random(3)
@@ -246,7 +245,7 @@ class TestReachability:
             w = shortest_word(s.nfa, s.i1, s.f1)
             brute = _brute_words(s.nfa, s.i1, s.f1, 6)
             if w is None:
-                assert is_empty(s.nfa, s.i1, s.f1)
+                assert not (reachable(s.nfa, s.i1) & set(s.f1))
                 assert not brute
             else:
                 assert accepts(s.nfa, s.i1, s.f1, w)
@@ -302,3 +301,11 @@ def test_dot_export_mentions_all_states():
     dot = dot_export(spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2])
     assert dot.startswith("digraph")
     assert "n0" in dot and "n1" in dot and "doublecircle" in dot
+
+
+def test_dot_export_escapes_edge_labels():
+    text = 'alphabet: a"b c\\d\nstates: 2\ntrans: 0 a"b 1\ntrans: 1 c\\d 0\n'
+    spec = parse_spec(text + "I1: 0\nF1: 1\nI2: 1\nF2: 0\n")
+    dot = dot_export(spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2]).splitlines()
+    assert '  n0 -> n1 [label="a\\"b"];' in dot
+    assert '  n1 -> n0 [label="c\\\\d"];' in dot

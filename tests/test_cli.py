@@ -52,6 +52,21 @@ def fork_file(tmp_path):
     return str(path)
 
 
+# L1 = {a|b a} and L2 = {a|b a b|a}: letters that hold the ',' and '|' of
+# profile names, and an unused letter that holds a '"'
+DELIMITERS_TEXT = """\
+alphabet: a a|b b|a c"d
+states: 4
+trans: 0 a|b 1
+trans: 1 a 2
+trans: 2 b|a 3
+I1: 0
+F1: 2
+I2: 0
+F2: 3
+"""
+
+
 def _json_out(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     return json.loads(out[-1])
@@ -159,6 +174,17 @@ class TestDecide:
         wit = _json_out(capsys)["witness"]
         assert wit["type"] == "pair"
         assert wit["w1"] == wit["w2"] == ["a", "b"]
+
+    def test_fixed_class_on_letters_holding_delimiters(self, tmp_path, capsys):
+        # the profiles (a|b, a) and (a, b|a) get distinct names, so the flow
+        # model does not count them as one letter, and the decision agrees
+        # with the oracle
+        path = tmp_path / "delimiters.txt"
+        path.write_text(DELIMITERS_TEXT)
+        kd = ["--k", "2", "--d", "1", "--json"]
+        assert main(["oracle", str(path)] + kd) == EXIT_SEPARABLE
+        assert main(["decide", str(path), "--class", "fixed"] + kd) == EXIT_SEPARABLE
+        assert _json_out(capsys)["status"] == "separable"
 
     def test_fixed_state_budget_exits_unknown(self, parity_file, capsys):
         argv = ["decide", parity_file, "--class", "fixed", "--k", "4", "--d", "1",
@@ -356,6 +382,12 @@ class TestOtherCommands:
         doc = _json_out(capsys)
         assert doc["capped_image"] == {"|a": 2}
 
+    def test_profiles_names_escape_delimiters(self, capsys):
+        assert main(["profiles", "a|b a b|a", "--k", "2", "--d", "1", "--json"]) == 0
+        doc = _json_out(capsys)
+        assert doc["profiles"] == ["|a\\|b", "a\\|b|a", "a|b\\|a"]
+        assert doc["capped_image"] == dict.fromkeys(doc["profiles"], 1)
+
     def test_gen_families_parse(self, capsys):
         for argv in (
             ["gen", "parity"],
@@ -401,6 +433,18 @@ class TestErrors:
     def test_oracle_requires_parameters(self, parity_file, capsys):
         assert main(["oracle", parity_file]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("witness w2 failed re-verification"), KeyError("witness w2"),
+    ])
+    def test_internal_error_is_not_a_verdict(self, parity_file, monkeypatch, capsys, exc):
+        # exit 1 means inseparable: an internal error must exit 3 instead
+        def decide_lt(spec, cfg=None):
+            raise exc
+
+        monkeypatch.setattr(separ, "decide_lt", decide_lt)
+        assert main(["decide", parity_file, "--class", "lt"]) == EXIT_ERROR
+        assert "error: " in capsys.readouterr().err
+
 
 # The golden transcript: stdout, exit code and DOT digest of every decision
 # command below on every spec below, stored in GOLDEN.  A change that means
@@ -430,6 +474,7 @@ def _golden_specs():
         ("random-%d" % (90_000 + s), gen_random(90_000 + s, 2 + s % 3, 2, 0.3))
         for s in range(10)
     ]
+    specs.append(("delimiters", parse_spec(DELIMITERS_TEXT)))
     return specs
 
 

@@ -8,6 +8,7 @@ import pytest
 from ltsep.automata import Nfa, accepts
 from ltsep.monoid import (
     MonoidBudgetError,
+    identity_matrix,
     letter_matrix,
     mat_mul,
     num_profiles,
@@ -15,9 +16,16 @@ from ltsep.monoid import (
     threshold_bound,
     transition_monoid,
     transition_semigroup,
-    word_matrix,
 )
 from ltsep.testkit import gen_parity, gen_random
+
+
+def word_matrix(nfa, w):
+    """Matrix of a word: product of its letter matrices."""
+    m = identity_matrix(nfa.n_states)
+    for a in w:
+        m = mat_mul(m, letter_matrix(nfa, a))
+    return m
 
 
 def _reaches(matrix, i, f):

@@ -426,14 +426,14 @@ class TestMatchLimit:
 class TestRealizeWord:
     def test_zero_flow_needs_shared_endpoint(self):
         nfa = Nfa(2, ("a",), frozenset([(0, "a", 1)]))
-        empty = pk.FlowAssignment({}, 0, 0)
+        empty = pk.FlowAssignment({}, 0)
         assert pk.realize_word(nfa, {0}, {0}, empty) == ()
         with pytest.raises(ValueError):
             pk.realize_word(nfa, {0}, {1}, empty)
 
     def test_non_eulerian_flow_rejected(self):
         nfa = Nfa(3, ("a",), frozenset([(0, "a", 0), (1, "a", 2)]))
-        bogus = pk.FlowAssignment({(1, "a", 2): 1, (0, "a", 0): 1}, 1, 2)
+        bogus = pk.FlowAssignment({(1, "a", 2): 1, (0, "a", 0): 1}, 1)
         with pytest.raises(ValueError):
             pk.realize_word(nfa, {1}, {2}, bogus)
 

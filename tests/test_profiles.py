@@ -15,13 +15,18 @@ from ltsep.profiles import (
     equivalent,
     language_signatures,
     profile_at,
-    profile_word,
     project_profile_word,
-    signature_of,
     split_width,
     Windows,
 )
 from ltsep.testkit import gen_parity, gen_random
+
+
+def profile_word(w, k):
+    """The sequence of profiles of all positions of w."""
+    w = tuple(w)
+    return tuple(profile_at(w, x, k) for x in range(len(w)))
+
 
 words = st.lists(st.sampled_from("ab"), max_size=10).map(tuple)
 
@@ -90,18 +95,16 @@ class TestCappedImage:
 
     @settings(max_examples=100, deadline=None)
     @given(words, st.integers(1, 4), st.integers(1, 3))
-    def test_incremental_window_equals_direct_signature(self, w, k, d):
+    def test_incremental_window_equals_direct_signature(self, signature_of, counts_of, w, k, d):
         win = Windows(k, d)
         buf, counts = (), win.empty
         for a in w:
             buf, counts = win.step(buf, counts, a)
-        kl, kr = split_width(k)
-        length = min(len(w), kl + kr)
-        flushed = win.flush(buf, counts, length)
+        flushed = win.flush(buf, counts)
         assert win.signature(flushed) == signature_of(w, k, d)
         # the interned counts and the signature encode each other, and the
         # levels are nested: a profile counted c times is in levels 0..c-1
-        assert win.counts_of(signature_of(w, k, d)) == flushed
+        assert counts_of(win, signature_of(w, k, d)) == flushed
         assert all(hi & ~lo == 0 for lo, hi in zip(flushed, flushed[1:]))
         # once the walk has numbered w's window pairs, reading w's counts
         # directly gives the same counts
@@ -166,7 +169,7 @@ class TestAnnotate:
 
 
 class TestLanguageSignatures:
-    def test_parity_signatures(self):
+    def test_parity_signatures(self, signature_of):
         spec = gen_parity()
         sig_even = language_signatures(spec.nfa, spec.i1, spec.f1, 1, 2)
         sig_odd = language_signatures(spec.nfa, spec.i2, spec.f2, 1, 2)
@@ -177,7 +180,7 @@ class TestLanguageSignatures:
         assert sig_even == {signature_of(("a",) * n, 1, 2) for n in (0, 2)}
         assert sig_odd == {signature_of(("a",) * n, 1, 2) for n in (1, 3)}
 
-    def test_matches_brute_enumeration(self):
+    def test_matches_brute_enumeration(self, signature_of):
         rng = random.Random(9)
         for seed in range(8):
             spec = gen_random(seed, 3, 2, 0.4)
@@ -230,7 +233,7 @@ class TestLanguageSignatures:
         f = frozenset(q for q in range(n) if rng.random() < 0.5) or {n - 1}
         return Nfa(n, sigma, trans), frozenset([0]), frozenset(f)
 
-    def test_finite_languages_match_every_word(self):
+    def test_finite_languages_match_every_word(self, signature_of):
         # a finite language's signature set is exactly the set of its words'
         # signatures, computed without the window walk
         rng = random.Random(13)
@@ -242,7 +245,7 @@ class TestLanguageSignatures:
                     want = {signature_of(w, k, d) for w in words}
                     assert language_signatures(nfa, i, f, k, d) == want, (nfa, k, d)
 
-    def test_cyclic_languages_hold_every_word(self):
+    def test_cyclic_languages_hold_every_word(self, signature_of):
         # two-letter specs whose signature sets stay small up to (3, 3)
         for seed, states in ((40, 2), (41, 3), (42, 4), (46, 2), (47, 3)):
             spec = gen_random(seed, states, 2, 0.3)

@@ -27,7 +27,6 @@ from ltsep.profiles import (
     equivalent,
     language_signatures,
     out_edges,
-    signature_of,
     split_width,
     window_walk,
 )
@@ -470,7 +469,7 @@ class TestWindowSearchReference:
             assert None in outcomes
 
     @pytest.mark.parametrize("budget", [500_000, 30, 5])
-    def test_meets(self, budget):
+    def test_meets(self, budget, signature_of, counts_of):
         # targets: a random part of L1's signatures, and single signatures
         # of sampled words, the shape of a membership query
         rng = random.Random(78)
@@ -485,7 +484,7 @@ class TestWindowSearchReference:
                 {signature_of(w, k, d)} for w in words
             ]:
                 win = Windows(k, d)
-                goals = {win.counts_of(t) for t in targets}
+                goals = {counts_of(win, t) for t in targets}
                 got = _meets(spec.nfa, spec.i1, spec.f1, win, goals, budget)
                 want = _reference_meets(spec.nfa, spec.i1, spec.f1, targets, k, d, budget)
                 assert got is want, (seed, k, d, targets)
@@ -495,7 +494,7 @@ class TestWindowSearchReference:
             assert None in outcomes
 
 
-def _full_separator(handle):
+def _full_separator(handle, counts_of):
     """The explicit separator by the unpruned walk: every window state over
     the whole alphabet, the accepting ones marked after the walk."""
     spec, k, d = handle.spec, handle.k, handle.d
@@ -510,16 +509,16 @@ def _full_separator(handle):
             index[st] = len(index)
         if src is not None:
             transitions.add((index[src], a, index[st]))
-    goals = {win.counts_of(sig) for sig in sigs}
+    goals = {counts_of(win, sig) for sig in sigs}
     f = frozenset(
-        n for (_q, buf, counts, fill), n in index.items()
-        if win.flush(buf, counts, fill) in goals
+        n for (_q, buf, counts), n in index.items()
+        if win.flush(buf, counts) in goals
     )
     return Nfa(len(index), alphabet, frozenset(transitions)), frozenset([0]), f
 
 
 class TestPrunedSeparator:
-    def test_same_words_as_full_walk(self):
+    def test_same_words_as_full_walk(self, counts_of):
         # the handles of separable fixed verdicts, which enumerate L1's
         # images on demand; a probe handle, which holds them, is checked on
         # the threshold family below
@@ -535,7 +534,7 @@ class TestPrunedSeparator:
         pruned = full = 0
         for handle in handles:
             nfa, i, f = separator_automaton(handle)
-            ref = _full_separator(handle)
+            ref = _full_separator(handle, counts_of)
             delta = nfa.delta()
             assert len(delta) == nfa.n_states * 2
             assert all(len(succs) == 1 for succs in delta.values())
@@ -567,7 +566,7 @@ class TestProbeHandle:
         (gen_threshold_family(1), decide_ltt),
         (gen_sat_instance(Cnf3(1, ((1, 1, 1), (-1, -1, -1)))), decide_lt),
     ], ids=["threshold-1", "sat-core"])
-    def test_membership_matches_references(self, spec, decide, monkeypatch):
+    def test_membership_matches_references(self, spec, decide, monkeypatch, signature_of):
         v = decide(spec)
         assert v.separable is True and v.notes["via"] == "fixed-probe"
         probe_handle = v.separator
@@ -625,7 +624,7 @@ class TestL1Table:
     signature_of(w) in language_signatures(L1) and against _meets, with the
     number of walks over L1 counted."""
 
-    def test_answers_match_references(self):
+    def test_answers_match_references(self, signature_of, counts_of):
         # handles as decide_fixed builds them and as the probe leaves them,
         # with L2's window pairs numbered in the table's Windows by the
         # probe's search, on L1 and on an empty L1
@@ -663,7 +662,7 @@ class TestL1Table:
                             assert got is expect, (seed, k, d, w)
                             win = Windows(k, d)
                             assert got is _meets(
-                                s.nfa, s.i1, s.f1, win, {win.counts_of(sig)}, budget
+                                s.nfa, s.i1, s.f1, win, {counts_of(win, sig)}, budget
                             ), (seed, k, d, w)
                             size = "empty" if not w else "short" if len(w) < k else "long"
                             seen.add((s is empty, size, got))
@@ -702,7 +701,7 @@ class TestL1Table:
             assert accepts(nfa, i, f, w) == separator_membership(handle, w), w
         assert walks == ["L1", "other"]
 
-    def test_probe_handle_shared_by_lt_and_ltt(self, monkeypatch):
+    def test_probe_handle_shared_by_lt_and_ltt(self, monkeypatch, signature_of):
         # past the reduction budget both classes take the probe at (1, 1):
         # one walk over L1 builds the handle's table, one over L2 searches
         # it, and both verdicts, their queries and the automaton reuse it
@@ -740,7 +739,7 @@ class TestL1Table:
         assert walks == ["L1", "L2", "other"]
         assert [accepts(nfa, i, f, w) for w in words] == expect
 
-    def test_budget_between_pruned_and_full_walk(self):
+    def test_budget_between_pruned_and_full_walk(self, signature_of, counts_of):
         # the table's walk passes the budget, so each query searches L1's
         # windows for its own image, which fits
         spec = gen_random(30_006, 3, 2, 0.35)
@@ -751,7 +750,7 @@ class TestL1Table:
         pruned = 0
         for w in words:
             win = Windows(k, d)
-            compat = _goal_filter(win, {win.counts_of(signature_of(w, k, d))})
+            compat = _goal_filter(win, {counts_of(win, signature_of(w, k, d))})
             pruned = max(pruned, _walk_states(spec.nfa, spec.i1, win, compat))
         full = _walk_states(spec.nfa, spec.i1, Windows(k, d))
         assert pruned < full

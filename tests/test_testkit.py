@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from ltsep.automata import accepts, is_empty, product
-from ltsep.profiles import signature_of
+from ltsep.automata import accepts, product, shortest_word
 from ltsep.testkit import (
     PAD,
     Cnf3,
@@ -78,7 +77,7 @@ class TestSatInstance:
         prod, ix = product(spec.nfa, spec.nfa)
         i = {ix[(p, q)] for p in spec.i1 for q in spec.i2}
         f = {ix[(p, q)] for p in spec.f1 for q in spec.f2}
-        assert (not is_empty(prod, i, f)) == sat_brute(cnf)
+        assert (shortest_word(prod, i, f) is not None) == sat_brute(cnf)
 
 
 class TestThresholdFamily:
