@@ -46,6 +46,18 @@ class Nfa:
             object.__setattr__(self, "_delta", d)
         return d
 
+    def out(self):
+        """Map state -> sorted tuple of its (symbol, successor) pairs
+        (cached); states without transitions are absent."""
+        o = getattr(self, "_out", None)
+        if o is None:
+            lists = {}
+            for (p, a, q) in sorted(self.transitions):
+                lists.setdefault(p, []).append((a, q))
+            o = {p: tuple(pairs) for p, pairs in lists.items()}
+            object.__setattr__(self, "_out", o)
+        return o
+
     def step(self, states, sym):
         d = self.delta()
         out = set()
@@ -116,20 +128,25 @@ def product(a, b):
     return nfa, pair_index
 
 
+def closure(seeds, succ):
+    """The states reachable from seeds, seeds included, depth first;
+    succ maps a state to its successors."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for q in succ.get(stack.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
 def reachable(nfa, i):
     """Forward closure of the state set i."""
     succ = {}
     for (p, _a, q) in nfa.transitions:
         succ.setdefault(p, set()).add(q)
-    seen = set(i)
-    stack = list(i)
-    while stack:
-        p = stack.pop()
-        for q in succ.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return seen
+    return closure(i, succ)
 
 
 def coreachable(nfa, f):
@@ -137,15 +154,7 @@ def coreachable(nfa, f):
     pred = {}
     for (p, _a, q) in nfa.transitions:
         pred.setdefault(q, set()).add(p)
-    seen = set(f)
-    stack = list(f)
-    while stack:
-        q = stack.pop()
-        for p in pred.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+    return closure(f, pred)
 
 
 def _bfs_word(i, f, succ):
@@ -178,12 +187,8 @@ def _bfs_word(i, f, succ):
 
 def shortest_word(nfa, i, f):
     """A shortest word of L(nfa, i, f), or None if the language is empty."""
-    succ = {}
-    for (p, a, q) in nfa.transitions:
-        succ.setdefault(p, []).append((a, q))
-    for out in succ.values():
-        out.sort()
-    return _bfs_word(i, set(f), lambda p: succ.get(p, ()))
+    out = nfa.out()
+    return _bfs_word(i, set(f), lambda p: out.get(p, ()))
 
 
 def shortest_common_word(nfa, i1, f1, i2, f2):
@@ -306,7 +311,14 @@ def parse_spec(text):
 
 
 def serialize_spec(spec):
-    """Render a LangSpec in the spec format; round-trips with parse_spec."""
+    """Render a LangSpec in the spec format; round-trips with parse_spec.
+
+    Raises ValueError on a letter the format cannot hold: an empty one, or
+    one with whitespace or '#'.
+    """
+    for a in spec.nfa.alphabet:
+        if a.split() != [a] or "#" in a:
+            raise ValueError("letter %r cannot be written in the spec format" % (a,))
     lines = []
     lines.append("alphabet: " + " ".join(spec.nfa.alphabet))
     lines.append("states: %d" % spec.nfa.n_states)
@@ -320,8 +332,9 @@ def serialize_spec(spec):
 def dot_export(nfa, isets, fsets):
     """DOT rendering with initial/final annotations per language index.
 
-    Edge labels list the letters of an edge joined by ',', with '\\' and
-    '"' inside a letter escaped for DOT's quoted strings.
+    Edge labels list the letters of an edge joined by ',', a '\\' or ','
+    inside a letter escaped with '\\' as Profile.symbol does; the label
+    then has its '\\' and '"' escaped for DOT's quoted strings.
     """
     lines = ["digraph nfa {", "  rankdir=LR;"]
     marks = {}
@@ -340,7 +353,8 @@ def dot_export(nfa, isets, fsets):
     for (p, a, q) in sorted(nfa.transitions):
         grouped.setdefault((p, q), []).append(a)
     for (p, q), syms in sorted(grouped.items()):
-        label = ",".join(a.replace("\\", "\\\\").replace('"', '\\"') for a in syms)
+        label = ",".join(a.replace("\\", "\\\\").replace(",", "\\,") for a in syms)
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append('  n%d -> n%d [label="%s"];' % (p, q, label))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,11 +16,13 @@ and trimmed again, until nothing changes.  When a side is empty then,
 every match is UNSAT before any model is built.  Otherwise the cut-down
 sides, which now read the same letters, are reduced: forward-bisimilar
 states (same finality, same (letter, successor block) pairs) are merged,
-then backward-bisimilar ones.  The cut and the reduction keep every match
-of the sides, and word lengths, letter counts and the choice of endpoints
-are properties of the language, so every match keeps its status and its
-optimum on smaller models; on the pools of SAT encodings the reduction
-folds the padding tails of side 2.
+then backward-bisimilar ones.  Each merge finds the coarsest such
+partition, which is unique, by rounds that split every block at once
+until a round splits none (_coarsest).  The cut and the reduction keep
+every match of the sides, and word lengths, letter counts and the choice
+of endpoints are properties of the language, so every match keeps its
+status and its optimum on smaller models; on the pools of SAT encodings
+the reduction folds the padding tails of side 2.
 
 Connectivity of the used-edge subgraph to the chosen source has one
 encoding, shared by every query (match_fixed, match_limit and the one-sided
@@ -70,7 +72,7 @@ from scipy import sparse
 from scipy.optimize import milp, LinearConstraint, Bounds
 from scipy.sparse.csgraph import connected_components
 
-from .automata import Nfa, trim
+from .automata import Nfa, closure, trim
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -243,37 +245,19 @@ def _coarsest(n, arcs, split):
     in which the states of a block have the same set of (letter, block)
     pairs over their arcs; arcs[q] lists (letter, state) pairs.
 
-    Returns each state's block.  Splitting a block keeps its number on its
-    largest part; only the blocks of states with an arc to a renumbered
-    state are checked again.
+    Returns each state's block, the blocks numbered in the order of their
+    least states.  The first round splits the states by their labels; each
+    further round splits every block by the (letter, block) sets of its
+    states, until a round splits none.
     """
-    users = [[] for _ in range(n)]
-    for q in range(n):
-        for _a, r in arcs[q]:
-            users[r].append(q)
-    labels = {}
-    block = [labels.setdefault(label, len(labels)) for label in split]
-    members = [[] for _ in labels]
-    for q, b in enumerate(block):
-        members[b].append(q)
-    dirty = set(range(len(members)))
-    while dirty:
-        b = dirty.pop()
-        parts = {}
-        for q in members[b]:
-            parts.setdefault(frozenset((a, block[r]) for a, r in arcs[q]), []).append(q)
-        if len(parts) == 1:
-            continue
-        kept, *moved = sorted(parts.values(), key=len, reverse=True)
-        members[b] = kept
-        for part in moved:
-            for q in part:
-                block[q] = len(members)
-            members.append(part)
-        for part in moved:
-            for q in part:
-                dirty.update(block[u] for u in users[q])
-    return block
+    sigs, count = split, 0
+    while True:
+        keys = {}
+        block = [keys.setdefault(sig, len(keys)) for sig in sigs]
+        if len(keys) == count:
+            return block
+        count = len(keys)
+        sigs = [(block[q], frozenset((a, block[r]) for a, r in arcs[q])) for q in range(n)]
 
 
 def _merge(nfa, i, f, backward):
@@ -489,14 +473,7 @@ class _ConnReq:
         succ = {}
         for (p, _a, q) in used_edges:
             succ.setdefault(p, set()).add(q)
-        seen = set()
-        stack = [src] if src is not None else []
-        while stack:
-            p = stack.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(succ.get(p, ()))
+        seen = closure([] if src is None else [src], succ)
         unreached = support - seen
         if not unreached:
             return None

@@ -200,10 +200,13 @@ def annotate(nfa, i, f, k, state_budget):
 # numbers the (left, right) window pairs met, and capped counts are a tuple of
 # d bitmasks over those numbers, so that the counts of a state are a few
 # ints.  A walk state is (state, buffer, counts): the buffer holds the last
-# <= kl+kr letters read, and flush reads the trailing positions off it.  The
-# decision engine keeps counts throughout; signatures take their
-# frozenset-of-(Profile, count) form (Windows.signature, language_signatures)
-# only for the independent oracle and the tests.
+# <= kl+kr letters read, and flush reads the trailing positions off it.
+# Walks over an automaton explore each state's successors in Nfa.out's
+# sorted order, so a walk cut by its budget stops at the same place in
+# every process, whatever the hash seed.  The decision engine keeps counts
+# throughout; signatures take their frozenset-of-(Profile, count) form
+# (Windows.signature, language_signatures) only for the independent oracle
+# and the tests.
 
 
 def set_bits(mask):
@@ -305,26 +308,18 @@ class Windows:
         )
 
 
-def out_edges(nfa):
-    """Map each state of nfa to its list of (letter, successor) pairs."""
-    delta = {}
-    for (p, a, q) in nfa.transitions:
-        delta.setdefault(p, []).append((a, q))
-    return delta
-
-
-def window_walk(delta, starts, win, budget, keep=None):
+def window_walk(out, starts, win, budget, keep=None):
     """Breadth-first walk over (state, window buffer, capped counts).
 
-    delta maps a state to its (letter, successor) pairs and win is the
-    walk's Windows; the walk is finite because counts are capped and the
-    buffer keeps the last <= kl+kr letters, from which win.flush counts the
-    trailing positions.  Yields (src, a, dst, new) for each explored edge,
-    first (None, None, st, True) for each start state; new says whether dst
-    is reached for the first time.  A state whose counts fail keep is
-    pruned: not explored, and an edge into it is yielded as
-    (src, a, None, False).  Raises AnnotationBudgetError instead of
-    exceeding budget states.
+    out maps a state to its (letter, successor) pairs, explored in that
+    order, and win is the walk's Windows; the walk is finite because
+    counts are capped and the buffer keeps the last <= kl+kr letters, from
+    which win.flush counts the trailing positions.  Yields (src, a, dst,
+    new) for each explored edge, first (None, None, st, True) for each
+    start state; new says whether dst is reached for the first time.  A
+    state whose counts fail keep is pruned: not explored, and an edge into
+    it is yielded as (src, a, None, False).  Raises AnnotationBudgetError
+    instead of exceeding budget states.
     """
     step = win.step
     seen = set()
@@ -337,7 +332,7 @@ def window_walk(delta, starts, win, budget, keep=None):
     while queue:
         src = queue.popleft()
         q, buf, counts = src
-        for (a, q2) in delta.get(q, ()):
+        for (a, q2) in out.get(q, ()):
             nbuf, ncounts = step(buf, counts, a)
             dst = (q2, nbuf, ncounts)
             if dst in seen:
@@ -363,7 +358,7 @@ def language_counts(nfa, i, f, win, state_budget):
     return {
         win.flush(buf, counts)
         for _src, _a, (q, buf, counts), new in window_walk(
-            out_edges(nfa), i, win, state_budget
+            nfa.out(), i, win, state_budget
         )
         if new and q in fset
     }

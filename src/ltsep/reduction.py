@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from .automata import Nfa, LangSpec, accepts, reachable, coreachable
 from .monoid import MonoidBudgetError, mat_mul, transition_semigroup
+from .profiles import capped_image, equivalent
 
 # the most useful state pairs the complete reduction takes; past it the
 # engine falls back to probes and the pool
@@ -332,14 +333,15 @@ def decode_pattern(reduced, w1, w2, d):
     w1, w2 are symbol sequences accepted by the two sides of the reduced
     automaton, with letter counts equal up to threshold d.
     """
-    from .profiles import capped_image
-
     if capped_image(w1, 1, d) != capped_image(w2, 1, d):
         raise ValueError("reduced words do not match at threshold %d" % d)
     cat = reduced.catalog
-    for syms, i, f in ((w1, reduced.i1, reduced.f1), (w2, reduced.i2, reduced.f2)):
-        if find_run(reduced.nfa, i, f, syms) is None:
-            raise ValueError("reduced word not accepted by its side")
+    runs = [
+        find_run(reduced.nfa, i, f, syms)
+        for syms, i, f in ((w1, reduced.i1, reduced.f1), (w2, reduced.i2, reduced.f2))
+    ]
+    if None in runs:
+        raise ValueError("reduced word not accepted by its side")
     if len(w1) == 1 and cat[w1[0]].kind == "w":
         if tuple(w1) != tuple(w2):
             raise ValueError("weak letters cannot match distinct words")
@@ -356,8 +358,7 @@ def decode_pattern(reduced, w1, w2, d):
     if w1[0] != w2[0] or w1[-1] != w2[-1]:
         raise ValueError("matched words must share prefix and suffix letters")
 
-    def decomp(syms, i, f):
-        run = find_run(reduced.nfa, i, f, syms)
+    def decomp(syms, run):
         tags = [reduced.state_tags[q] for q in run]
         # tags: ('in', q0), ('rs', r, D)..., ('out', qf)
         states = [tags[0][1]] + [t[1] for t in tags[1:-1]] + [tags[-1][1]]
@@ -369,8 +370,8 @@ def decode_pattern(reduced, w1, w2, d):
 
     return DPattern(
         None,
-        decomp(w1, reduced.i1, reduced.f1),
-        decomp(w2, reduced.i2, reduced.f2),
+        decomp(w1, runs[0]),
+        decomp(w2, runs[1]),
         reduced.origin,
     )
 
@@ -393,8 +394,6 @@ def pump_pattern(pattern, ell, d):
     Loops are repeated ell*(d+1) times, enough that every width-ell profile
     around and inside the loops reaches the counting threshold on both sides.
     """
-    from .profiles import equivalent
-
     if pattern.word is not None:
         return tuple(pattern.word), tuple(pattern.word)
     reps = max(1, ell * (d + 1))

@@ -18,7 +18,6 @@ from .profiles import (
     annotate,
     equivalent,
     language_counts,
-    out_edges,
     project_profile_word,
     set_bits,
     window_walk,
@@ -387,7 +386,7 @@ def _meets(nfa, i, f, win, goals, budget):
     """
     compat = _goal_filter(win, goals)
     fset = set(f)
-    walk = window_walk(out_edges(nfa), i, win, budget, compat)
+    walk = window_walk(nfa.out(), i, win, budget, compat)
     try:
         for _src, _a, st, new in walk:
             if new and st[0] in fset and win.flush(*st[1:]) in goals:

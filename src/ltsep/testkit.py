@@ -298,9 +298,7 @@ def exact_fixed_oracle(spec, k, d, state_budget=500_000):
 
 def sample_words(nfa, i, f, count, rng, max_len=40, tries=2000):
     """Up to `count` distinct accepted words found by bounded random walks."""
-    delta = {}
-    for (p, a, q) in nfa.transitions:
-        delta.setdefault(p, []).append((a, q))
+    out = nfa.out()
     fset = set(f)
     found = []
     seen = set()
@@ -315,10 +313,10 @@ def sample_words(nfa, i, f, count, rng, max_len=40, tries=2000):
         for _step in range(max_len):
             if cur in fset and len(word) >= stop_at:
                 break
-            opts = delta.get(cur)
+            opts = out.get(cur)
             if not opts:
                 break
-            a, cur = rng.choice(sorted(opts))
+            a, cur = rng.choice(opts)
             word.append(a)
         if cur in fset and tuple(word) not in seen:
             seen.add(tuple(word))

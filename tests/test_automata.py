@@ -1,6 +1,7 @@
 """NFA core: parsing, serialization, products, reachability, trimming."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ltsep.automata import (
     Nfa,
     SpecFormatError,
     accepts,
+    closure,
     coreachable,
     dot_export,
     parse_spec,
@@ -112,6 +114,15 @@ class TestParseSerialize:
         for _ in range(20):
             spec = _random_spec(rng)
             assert parse_spec(serialize_spec(spec)) == spec
+
+    @pytest.mark.parametrize("letter", ["a#b", "", "a b", "a\tb"])
+    def test_unwritable_letter_refused(self, letter):
+        # '#' would start a comment, a blank would split the field, and an
+        # empty letter would vanish from the alphabet line
+        nfa = Nfa(1, (letter, "c"), frozenset([(0, letter, 0), (0, "c", 0)]))
+        spec = LangSpec(nfa, {0}, {0}, {0}, {0})
+        with pytest.raises(ValueError, match=re.escape(repr(letter))):
+            serialize_spec(spec)
 
     @pytest.mark.parametrize(
         "text",
@@ -238,6 +249,16 @@ class TestReachability:
         assert shortest_word(nfa, {0}, {2}) is None
         assert shortest_word(nfa, {0}, {1}) is not None
 
+    def test_closure(self):
+        assert closure([], {0: {1}}) == set()
+        assert closure([0], {0: {0}}) == {0}
+        assert closure([2, 0], {0: {1}, 1: {0, 3}, 3: set()}) == {0, 1, 2, 3}
+
+    def test_out_is_sorted_and_cached(self):
+        nfa = Nfa(3, ("b", "a"), frozenset([(0, "b", 1), (0, "a", 2), (0, "a", 1)]))
+        assert nfa.out() == {0: (("a", 1), ("a", 2), ("b", 1))}
+        assert nfa.out() is nfa.out()
+
     def test_shortest_word(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -308,4 +329,20 @@ def test_dot_export_escapes_edge_labels():
     spec = parse_spec(text + "I1: 0\nF1: 1\nI2: 1\nF2: 0\n")
     dot = dot_export(spec.nfa, [spec.i1, spec.i2], [spec.f1, spec.f2]).splitlines()
     assert '  n0 -> n1 [label="a\\"b"];' in dot
-    assert '  n1 -> n0 [label="c\\\\d"];' in dot
+    # the letter's backslash is escaped as Profile.symbol does, then for DOT
+    assert '  n1 -> n0 [label="c\\\\\\\\d"];' in dot
+
+
+def _edge_label(letters):
+    nfa = Nfa(1, letters, frozenset((0, a, 0) for a in letters))
+    (line,) = [x for x in dot_export(nfa, [], []).splitlines() if "->" in x]
+    return line
+
+
+def test_dot_edge_labels_tell_letters_apart():
+    # one letter 'a,b' against the letters 'a' and 'b' on one edge
+    assert _edge_label(("a,b",)) == '  n0 -> n0 [label="a\\\\,b"];'
+    assert _edge_label(("a", "b")) == '  n0 -> n0 [label="a,b"];'
+    # a letter ending in a backslash, before the next letter's ','
+    assert _edge_label(("a\\", "b")) == '  n0 -> n0 [label="a\\\\\\\\,b"];'
+    assert _edge_label(("a\\,b",)) == '  n0 -> n0 [label="a\\\\\\\\\\\\,b"];'

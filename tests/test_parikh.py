@@ -10,6 +10,7 @@ import pytest
 
 from ltsep.automata import Nfa, accepts, reachable, shortest_common_word, trim
 from ltsep import parikh as pk
+from ltsep.profiles import annotate
 from ltsep.reduction import build_reduced, build_reduced_pool
 from ltsep.testkit import Cnf3, gen_parity, gen_random, gen_sat_instance
 
@@ -683,6 +684,104 @@ def _bisimilar_tails():
         (twin, {0, 1}, {3}, 3),
         (split, {0}, {3}, 3),
     ]
+
+
+def _worklist_coarsest(n, arcs, split):
+    """The refinement parikh._coarsest used to run, kept as its reference:
+    a worklist that keeps a split block's number on its largest part and
+    checks again only the blocks of states with an arc to a renumbered
+    state."""
+    users = [[] for _ in range(n)]
+    for q in range(n):
+        for _a, r in arcs[q]:
+            users[r].append(q)
+    labels = {}
+    block = [labels.setdefault(label, len(labels)) for label in split]
+    members = [[] for _ in labels]
+    for q, b in enumerate(block):
+        members[b].append(q)
+    dirty = set(range(len(members)))
+    while dirty:
+        b = dirty.pop()
+        parts = {}
+        for q in members[b]:
+            parts.setdefault(frozenset((a, block[r]) for a, r in arcs[q]), []).append(q)
+        if len(parts) == 1:
+            continue
+        kept, *moved = sorted(parts.values(), key=len, reverse=True)
+        members[b] = kept
+        for part in moved:
+            for q in part:
+                block[q] = len(members)
+            members.append(part)
+        for part in moved:
+            for q in part:
+                dirty.update(block[u] for u in users[q])
+    return block
+
+
+def _classes(block):
+    """The partition a block list stands for, as a set of state sets."""
+    parts = {}
+    for q, b in enumerate(block):
+        parts.setdefault(b, set()).add(q)
+    return {frozenset(part) for part in parts.values()}
+
+
+def _refinement_cases(nfa, i, f):
+    """(n, arcs, split) of both merges _merge runs on (nfa, i, f)."""
+    n = nfa.n_states
+    for backward, ends in ((False, f), (True, i)):
+        arcs = [[] for _ in range(n)]
+        for (p, a, q) in nfa.transitions:
+            if backward:
+                arcs[q].append((a, p))
+            else:
+                arcs[p].append((a, q))
+        yield n, arcs, [q in ends for q in range(n)]
+
+
+class TestCoarsestPartition:
+    """The round-based refinement finds the partition the worklist found."""
+
+    @staticmethod
+    def _check(nfa, i, f):
+        for n, arcs, split in _refinement_cases(nfa, i, f):
+            got = pk._coarsest(n, arcs, split)
+            assert _classes(got) == _classes(_worklist_coarsest(n, arcs, split))
+            # blocks are numbered in the order of their least states
+            assert list(dict.fromkeys(got)) == list(range(len(set(got))))
+
+    @CRITERION_6_POOLS
+    def test_criterion_6_pools(self, cnf, thresholds):
+        pool = build_reduced_pool(gen_sat_instance(cnf))
+        for i, f in ((pool.i1, pool.f1), (pool.i2, pool.f2)):
+            self._check(pool.nfa, i, f)
+            self._check(*pk._trimmed(pool.nfa, i, f))
+
+    def test_random_annotated_sides(self):
+        checked = 0
+        for seed in range(30):
+            spec = gen_random(400 + seed, 2 + seed % 4, 1 + seed % 3, 0.35)
+            for i, f in ((spec.i1, spec.f1), (spec.i2, spec.f2)):
+                for k in (1, 2, 3):
+                    ann = annotate(spec.nfa, i, f, k, 20_000)
+                    self._check(ann.nfa, ann.i, ann.f)
+                    checked += ann.nfa.n_states > 1
+        assert checked > 100
+
+    def test_no_states(self):
+        assert pk._coarsest(0, [], []) == [] == _worklist_coarsest(0, [], [])
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_cycle_of_symmetric_states(self, size):
+        # every state of an a-cycle has the same future: one block when all
+        # are final, and one block each when exactly one is
+        cycle = Nfa(size, ("a",), frozenset((q, "a", (q + 1) % size) for q in range(size)))
+        for f, blocks in ((set(range(size)), [0] * size), ({0}, list(range(size)))):
+            n, arcs, split = next(_refinement_cases(cycle, {0}, f))
+            assert pk._coarsest(n, arcs, split) == blocks
+            self._check(cycle, {0}, f)
 
 
 class TestBisimulationMerge:

@@ -3,7 +3,10 @@ witness validity, and separator handles."""
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -26,7 +29,6 @@ from ltsep.profiles import (
     capped_image,
     equivalent,
     language_signatures,
-    out_edges,
     split_width,
     window_walk,
 )
@@ -375,7 +377,7 @@ def _reference_walk(nfa, starts, k, d, budget, keep=None):
     breadth-first order, with counts a frozenset of (Profile, count) pairs.
     Raises AnnotationBudgetError instead of exceeding budget states."""
     kl, kr = split_width(k)
-    delta = out_edges(nfa)
+    delta = nfa.out()
     seen = set()
     queue = []
     for q0 in set(starts):
@@ -615,7 +617,7 @@ def _random_words(rng, sigma, n, max_len):
 
 def _walk_states(nfa, starts, win, keep=None):
     """The number of states a window walk over (nfa, starts) explores."""
-    walk = window_walk(out_edges(nfa), starts, win, 10**6, keep)
+    walk = window_walk(nfa.out(), starts, win, 10**6, keep)
     return sum(new for _src, _a, _st, new in walk)
 
 
@@ -679,7 +681,7 @@ class TestL1Table:
         spec = gen_random(30_021, 3, 2, 0.35)
         handle = decide_fixed(spec, 2, 1).separator
         assert handle is not None and "l1_table" not in vars(handle)
-        l1_edges = out_edges(spec.nfa)
+        l1_edges = spec.nfa.out()
         walks = []
         real = profiles.window_walk
 
@@ -712,7 +714,7 @@ class TestL1Table:
         sigs = language_signatures(spec.nfa, spec.i1, spec.f1, 1, 1)
         expect = [signature_of(w, 1, 1) in sigs for w in words]
         assert set(expect) == {True, False}
-        edges = out_edges(spec.nfa)
+        edges = spec.nfa.out()
         walks = []
         real = profiles.window_walk
 
@@ -762,6 +764,28 @@ class TestL1Table:
         assert set(answers) == {True, False}
         with pytest.raises(AnnotationBudgetError):
             separator_automaton(handle)
+
+    def test_budgeted_search_independent_of_hash_seed(self):
+        # past the table's budget the query searches L1 under the same
+        # budget, so where the search stops decides the answer; successors
+        # walked in frozenset order answered None under hash seeds 0 and 3
+        # and True under 1 and 2, and only separate processes can show it
+        code = (
+            "from ltsep.separ import SeparatorHandle, separator_membership\n"
+            "from ltsep.testkit import gen_random\n"
+            "handle = SeparatorHandle(2, 1, gen_random(30_009, 3, 2, 0.35), 5)\n"
+            "print(separator_membership(handle, ('b', 'a')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(separ.__file__))
+        answers = set()
+        for seed in "0123":
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            answers.add(done.stdout)
+        assert answers == {"True\n"}
 
 
 class TestEngineConfig:
